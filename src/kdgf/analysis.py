@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhaseConfig, velocity_arrays
+from .core import PhaseConfig, subset_indices, velocity_arrays
 from .integrate import Trajectory, rk4_step
 
 TWO_PI = 2.0 * math.pi
@@ -283,15 +283,6 @@ def match_equilibrium(final: PhaseConfig, tol: float = 1e-6) -> EquilibriumState
 # scan certificates over trajectories
 # ---------------------------------------------------------------------------
 
-def _subset_indices(subset, n):
-    idx = np.asarray(sorted(subset), dtype=int)
-    if idx.size == 0:
-        raise ValueError("empty index set")
-    if idx.min() < 0 or idx.max() >= n:
-        raise ValueError("subset index out of range")
-    return idx
-
-
 def _subset_diameters(phases: np.ndarray, idx: np.ndarray) -> np.ndarray:
     sel = phases[:, idx]
     return sel.max(axis=1) - sel.min(axis=1)
@@ -307,7 +298,7 @@ class OrderCheck:
 def check_order_preservation(traj: Trajectory, subset) -> OrderCheck:
     """Scan for the first step where the strict phase order of ``subset``
     (sorted by its step-0 phases) breaks."""
-    idx = _subset_indices(subset, traj.n)
+    idx = subset_indices(subset, traj.n)
     order = idx[np.argsort(traj.phases[0, idx], kind="stable")]
     if idx.size > 1 and np.any(np.diff(traj.phases[0, order]) <= 0):
         raise ValueError("subset phases are not strictly ordered at step 0")
@@ -359,7 +350,7 @@ def certify_diameter_decay(traj: Trajectory, subset, eps: float,
     Requires the initial subset diameter to be below eps (the envelope's
     validity region); violated preconditions raise.
     """
-    idx = _subset_indices(subset, traj.n)
+    idx = subset_indices(subset, traj.n)
     d = _subset_diameters(traj.phases, idx)
     if not d[0] < eps:
         raise ValueError("initial diameter exceeds eps")
@@ -390,7 +381,7 @@ def certify_two_sided_decay(traj: Trajectory, subset, coupling: float,
         raise ValueError("alpha must be positive")
     if alpha >= 2.0 * coupling:
         raise ValueError("alpha >= 2K: upper envelope would cross the lower one")
-    idx = _subset_indices(subset, traj.n)
+    idx = subset_indices(subset, traj.n)
     d = _subset_diameters(traj.phases, idx)
     d0 = float(d[0])
     if not d0 > 0:

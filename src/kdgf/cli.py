@@ -17,7 +17,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,9 +31,6 @@ from .integrate import (
     rk4_reference,
     simulate,
 )
-
-THREADS_ENV = "KDGF_THREADS"
-
 
 class ConfigError(ValueError):
     pass
@@ -88,16 +84,25 @@ class RunConfig:
     def validate(self):
         if self.model not in ("identical", "nonidentical", "generic_dgf"):
             raise ConfigError(f"unknown model {self.model!r}")
-        if self.step is None or not self.step > 0:
-            raise ConfigError("step must be given and positive")
+        if self.step is None or not 0 < self.step < math.inf:
+            raise ConfigError("step must be given, positive and finite")
         if self.model != "generic_dgf":
-            if self.coupling is None or not self.coupling > 0:
-                raise ConfigError("coupling must be given and positive")
+            if self.coupling is None or not 0 < self.coupling < math.inf:
+                raise ConfigError("coupling must be given, positive and finite")
             if self.n < 2:
                 raise ConfigError("n must be at least 2")
         for name in self.certifiers:
             if name not in CERTIFIERS:
                 raise ConfigError(f"unknown certifier {name!r}")
+
+
+def _number(key: str, value) -> float:
+    """``value`` as a float; a config value that is not a number is a
+    ConfigError, whichever file format it came from."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -107,7 +112,8 @@ def load_config(path: str | Path) -> RunConfig:
     if path.suffix == ".json":
         data = json.loads(path.read_text())
         run = dict(data.get("run", {}))
-        certs = {str(k).lower(): dict(v or {}) for k, v in data.get("certifiers", {}).items()}
+        certs = {name: dict(opts or {})
+                 for name, opts in data.get("certifiers", {}).items()}
     else:
         cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         cp.read(path)
@@ -125,8 +131,8 @@ def load_config(path: str | Path) -> RunConfig:
                     if "=" not in part:
                         raise ConfigError(f"certifier option {part!r} must be key=value")
                     k, v = part.split("=", 1)
-                    kw[k.strip()] = float(v)
-                certs[name.lower()] = kw
+                    kw[k.strip()] = v
+                certs[name] = kw
 
     cfg = RunConfig(model=str(run.get("model", "identical")).lower(),
                     n=int(run.get("n", 0) or 0))
@@ -135,11 +141,13 @@ def load_config(path: str | Path) -> RunConfig:
             setattr(cfg, key, int(run[key]))
     for key in ("coupling", "step", "conv_tol", "hessian_bound"):
         if key in run and run[key] is not None:
-            setattr(cfg, key, float(run[key]))
+            setattr(cfg, key, _number(key, run[key]))
     for key in ("init", "omega", "problem", "x0"):
         if key in run:
             setattr(cfg, key, str(run[key]))
-    cfg.certifiers = certs
+    cfg.certifiers = {str(name).lower(): {k: _number(f"{name} option {k}", v)
+                                          for k, v in kw.items()}
+                      for name, kw in certs.items()}
     cfg.validate()
     return cfg
 
@@ -187,6 +195,12 @@ def _need_bipolar_state(traj: Trajectory, kw):
     return eq
 
 
+def _default_alpha(n, k, eps):
+    """Theory decay rate K((N-1) sin(eps)/eps - 1)/(2N) of a locked group that
+    starts with diameter below eps, one oscillator opposed."""
+    return k * ((n - 1) * math.sin(eps) / eps - 1.0) / (2.0 * n)
+
+
 def _cert_order_preservation(traj, kw):
     subset = range(traj.n)
     check = analysis.check_order_preservation(traj, subset)
@@ -197,8 +211,11 @@ def _cert_diameter_decay(traj, kw):
     eps = kw.get("eps", 0.3)
     k = traj.params.coupling
     rate = kw.get("rate", k * math.sin(eps) / (2.0 * eps))
-    cert = analysis.certify_diameter_decay(traj, range(traj.n), eps, rate,
-                                           floor=kw.get("floor", 0.0))
+    try:
+        cert = analysis.certify_diameter_decay(traj, range(traj.n), eps, rate,
+                                               floor=kw.get("floor", 0.0))
+    except ValueError as exc:
+        return {"passed": False, "reason": str(exc), "rate": rate}
     return {"passed": cert.passed, "rate": rate,
             "first_violation": cert.first_violation}
 
@@ -209,7 +226,7 @@ def _cert_two_sided_decay(traj, kw):
         return {"passed": False, "reason": "no bipolar state matched"}
     n, k = traj.n, traj.params.coupling
     eps = kw.get("eps", 0.3)
-    alpha = kw.get("alpha", k * ((n - 1) * math.sin(eps) / eps - 1.0) / (2.0 * n))
+    alpha = kw.get("alpha", _default_alpha(n, k, eps))
     subset = [i for i in range(n) if i != eq.bipolar_index]
     cert = analysis.certify_two_sided_decay(traj, subset, k, alpha,
                                             floor=kw.get("floor", 1e-13))
@@ -232,7 +249,7 @@ def _cert_bipolar_bounds(traj, kw):
         return {"passed": False, "reason": "no bipolar state matched"}
     n, k = traj.n, traj.params.coupling
     eps = kw.get("eps", 0.3)
-    alpha = kw.get("alpha", k * ((n - 1) * math.sin(eps) / eps - 1.0) / (2.0 * n))
+    alpha = kw.get("alpha", _default_alpha(n, k, eps))
     try:
         cert = analysis.certify_bipolar_bounds(traj, eq, alpha, eps)
     except ValueError as exc:
@@ -415,9 +432,6 @@ def _execute_oscillators(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     }
 
 
-_DGF_PROBLEMS = {}
-
-
 def _double_well_problem():
     return descent.DescentProblem(
         dim=1,
@@ -514,16 +528,8 @@ def execute_sweep(cfg: RunConfig, axis: str, values, out_dir: Path,
         c.seed = cfg.seed ^ i  # documented per-point seed derivation
         points.append((i, v, c))
 
-    max_workers = int(os.environ.get(THREADS_ENV, "0")) or min(8, os.cpu_count() or 1)
-
-    def _one(item):
-        i, v, c = item
-        point_dir = out_dir / f"point_{i:03d}"
-        report = execute_run(c, point_dir, fmt=fmt, quiet=True)
-        return i, v, report
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = sorted(pool.map(_one, points))
+    results = [(i, v, execute_run(c, out_dir / f"point_{i:03d}", fmt=fmt, quiet=True))
+               for i, v, c in points]
 
     cert_names = list(cfg.certifiers) or (
         ["descent"] if cfg.model == "generic_dgf" else [])

@@ -12,11 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Row-chunk size for the pairwise coupling matrix.  Chunking along rows does
-# not change any row's summation order, so results are bit-identical for any
-# chunk size; it only caps memory at large N.
-_ROW_CHUNK = 1024
-
 
 def _phase_array(values, name="phases"):
     arr = np.array(values, dtype=float, copy=True)
@@ -89,14 +84,14 @@ class SimParams:
     conv_tol: float = 1e-10
 
     def __post_init__(self):
-        if not self.coupling > 0:
-            raise ValueError("coupling must be positive")
-        if not self.step_size > 0:
-            raise ValueError("step_size must be positive")
+        if not 0 < self.coupling < math.inf:
+            raise ValueError("coupling must be positive and finite")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError("step_size must be positive and finite")
         if self.max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
-        if not self.conv_tol > 0:
-            raise ValueError("conv_tol must be positive")
+        if not 0 < self.conv_tol < math.inf:
+            raise ValueError("conv_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -112,21 +107,28 @@ class OrderParameter:
 # array-level primitives (single canonical code path; see euler_step contract)
 # ---------------------------------------------------------------------------
 
-def coupling_sums(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """sum_j sin(theta_j - theta_i) for every i.
+def mean_field(theta: np.ndarray):
+    """Z = sum_j exp(i theta_j) over the last axis of ``theta``.
 
-    Each row is summed by numpy's pairwise reduction, which keeps the
-    antisymmetric cancellation tight enough to track phase-sum conservation
-    up to N ~ 1e4.
+    The coupling, the potential and the order parameter all derive from Z,
+    which makes every one of them O(N) per configuration (Kuramoto 1975).
     """
-    n = theta.shape[0]
-    if out is None:
-        out = np.empty(n)
-    for lo in range(0, n, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, n)
-        diff = np.subtract(theta[None, :], theta[lo:hi, None])
-        np.sin(diff, out=diff)
-        diff.sum(axis=1, out=out[lo:hi])
+    return np.exp(1j * theta).sum(axis=-1)
+
+
+def coupling_sums(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_j sin(theta_j - theta_i) for every i, in O(N).
+
+    Uses the order-parameter identity
+    sum_j sin(theta_j - theta_i) = cos(theta_i) sum_j sin(theta_j)
+                                   - sin(theta_i) sum_j cos(theta_j).
+    Rounding error is of order N * eps against the pairwise sum.
+    """
+    s = np.sin(theta)
+    c = np.cos(theta)
+    out = np.multiply(c, s.sum(), out=out)
+    s *= c.sum()
+    out -= s
     return out
 
 
@@ -149,17 +151,20 @@ def gradient_arrays(theta, omega, coupling):
     return v
 
 
+def potential_from_mean_field(z, theta, omega, coupling):
+    """(K/2N)(N^2 - |Z|^2) - omega . theta, for Z = mean_field(theta).
+
+    Equals -sum_i omega_i theta_i + (K/2N) sum_ij (1 - cos(theta_j - theta_i));
+    ``theta`` may hold one configuration or one per row.
+    """
+    n = theta.shape[-1]
+    z2 = z.real * z.real + z.imag * z.imag
+    return (coupling / (2.0 * n)) * (n * n - z2) - theta @ omega
+
+
 def potential_arrays(theta, omega, coupling) -> float:
     """-sum_i omega_i theta_i + (K/2N) sum_ij (1 - cos(theta_j - theta_i))."""
-    n = theta.shape[0]
-    acc = 0.0
-    for lo in range(0, n, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, n)
-        diff = np.subtract(theta[None, :], theta[lo:hi, None])
-        np.cos(diff, out=diff)
-        np.subtract(1.0, diff, out=diff)
-        acc += float(diff.sum())
-    return float(-(omega @ theta) + (coupling / (2.0 * n)) * acc)
+    return float(potential_from_mean_field(mean_field(theta), theta, omega, coupling))
 
 
 def _check_lengths(config: PhaseConfig, freqs: NaturalFrequencies):
@@ -179,8 +184,8 @@ def order_parameter(config: PhaseConfig) -> OrderParameter:
     When r falls below 1e-14 the angle is meaningless; it is reported as 0
     with the degenerate flag set.
     """
-    z = complex(np.exp(1j * config.phases).mean())
-    r = min(abs(z), 1.0)
+    z = complex(mean_field(config.phases))
+    r = min(abs(z) / config.n, 1.0)
     if r < 1e-14:
         return OrderParameter(r=r, phi=0.0, degenerate=True)
     phi = math.atan2(z.imag, z.real)
@@ -189,17 +194,23 @@ def order_parameter(config: PhaseConfig) -> OrderParameter:
     return OrderParameter(r=r, phi=phi)
 
 
+def subset_indices(subset, n: int) -> np.ndarray:
+    """Sorted index array of ``subset``; raises unless it is a nonempty
+    subset of range(n)."""
+    idx = np.asarray(sorted(subset), dtype=int)
+    if idx.size == 0:
+        raise ValueError("empty index set")
+    if idx.min() < 0 or idx.max() >= n:
+        raise ValueError("subset index out of range")
+    return idx
+
+
 def diameter(config: PhaseConfig, subset=None) -> float:
     """max - min of the phases over ``subset`` (all indices by default)."""
     if subset is None:
         sel = config.phases
     else:
-        idx = np.asarray(sorted(subset), dtype=int)
-        if idx.size == 0:
-            raise ValueError("empty index set")
-        if idx.min() < 0 or idx.max() >= config.n:
-            raise ValueError("subset index out of range")
-        sel = config.phases[idx]
+        sel = config.phases[subset_indices(subset, config.n)]
     return float(sel.max() - sel.min())
 
 

@@ -99,14 +99,31 @@ class DescentResult:
     path: np.ndarray | None = None
 
 
-def _descent_slacks(f_values, grad_norms, h, c):
-    """Allowed-minus-actual drop per step; negative beyond tolerance means a
-    descent violation.  Above the step guard the allowed term flips sign and
-    would certify anything, so the cap at zero keeps the certificate an
-    actual monotone-decrease statement."""
+@dataclass(frozen=True)
+class DescentCertificate:
+    passed: bool
+    min_slack: float
+    first_violation: int | None
+
+
+def _check_descent(f_values, grad_norms, h, c) -> DescentCertificate:
+    """The check behind :func:`certify_descent` and
+    ``DescentResult.descent_certified``.
+
+    The slack is allowed-minus-actual drop; a NaN slack fails.  Above the
+    step guard the allowed term flips sign and would certify anything, so the
+    cap at zero keeps the certificate an actual monotone-decrease statement.
+    """
     allowed = np.minimum(-h * (1.0 - c * h / 2.0) * grad_norms[:-1] ** 2, 0.0)
-    actual = np.diff(f_values)
-    return allowed - actual
+    slacks = allowed - np.diff(f_values)
+    if slacks.size == 0:
+        return DescentCertificate(True, 0.0, None)
+    bad = np.nonzero(~(slacks >= -1e-10 * (1.0 + np.abs(f_values[:-1]))))[0]
+    return DescentCertificate(
+        passed=bad.size == 0,
+        min_slack=float(slacks.min()),
+        first_violation=int(bad[0]) if bad.size else None,
+    )
 
 
 def run_descent(problem: DescentProblem, x0, h: float, max_steps: int = 1_000_000,
@@ -158,15 +175,12 @@ def run_descent(problem: DescentProblem, x0, h: float, max_steps: int = 1_000_00
     f_arr = np.asarray(f_vals)
     g_arr = np.asarray(g_norms)
     c = problem.hessian_bound
-    slacks = _descent_slacks(f_arr, g_arr, h, c)
-    tol_arr = 1e-10 * (1.0 + np.abs(f_arr[:-1]))
-    certified = bool(np.all(slacks >= -tol_arr)) if slacks.size else True
     return DescentResult(
         f_values=f_arr,
         grad_norms=g_arr,
         final_point=x,
         converged=converged,
-        descent_certified=certified,
+        descent_certified=_check_descent(f_arr, g_arr, h, c).passed,
         h_admissible=bool(h < 2.0 / c),
         stop_reason=reason,
         problem=problem,
@@ -175,30 +189,14 @@ def run_descent(problem: DescentProblem, x0, h: float, max_steps: int = 1_000_00
     )
 
 
-@dataclass(frozen=True)
-class DescentCertificate:
-    passed: bool
-    min_slack: float
-    first_violation: int | None
-
-
 def certify_descent(problem: DescentProblem, result: DescentResult,
                     h: float) -> DescentCertificate:
     """Re-check f(x(n+1)) - f(x(n)) <= -h (1 - C h / 2) |grad f(x(n))|^2 at
     every recorded step, with tolerance 1e-10 * (1 + |f|)."""
     if result.problem is not problem or result.h != h:
         raise ValueError("result was not produced by this problem and step size")
-    slacks = _descent_slacks(result.f_values, result.grad_norms, h,
-                             problem.hessian_bound)
-    if slacks.size == 0:
-        return DescentCertificate(True, 0.0, None)
-    tol_arr = 1e-10 * (1.0 + np.abs(result.f_values[:-1]))
-    bad = np.nonzero(slacks < -tol_arr)[0]
-    return DescentCertificate(
-        passed=bad.size == 0,
-        min_slack=float(slacks.min()),
-        first_violation=int(bad[0]) if bad.size else None,
-    )
+    return _check_descent(result.f_values, result.grad_norms, h,
+                          problem.hessian_bound)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ from .core import (
     NaturalFrequencies,
     PhaseConfig,
     SimParams,
+    mean_field,
+    potential_from_mean_field,
     velocity_arrays,
 )
 
@@ -94,26 +96,24 @@ def euler_step(config: PhaseConfig, freqs: NaturalFrequencies,
     return PhaseConfig(v, n_step=config.n_step + 1)
 
 
-def _order_series(phases, out_r, out_phi):
-    chunk = max(1, 262144 // phases.shape[1])
-    for lo in range(0, phases.shape[0], chunk):
-        z = np.exp(1j * phases[lo:lo + chunk]).mean(axis=1)
-        np.abs(z, out=out_r[lo:lo + chunk])
-        out_phi[lo:lo + chunk] = np.angle(z)
-    np.minimum(out_r, 1.0, out=out_r)
-
-
-def _potential_series(phases, omega, coupling, out):
-    n = phases.shape[1]
-    chunk = max(1, 262144 // (n * n))
-    for lo in range(0, phases.shape[0], chunk):
-        block = phases[lo:lo + chunk]
-        diff = block[:, None, :] - block[:, :, None]
-        np.cos(diff, out=diff)
-        np.subtract(1.0, diff, out=diff)
-        out[lo:lo + chunk] = diff.sum(axis=(1, 2))
-        out[lo:lo + chunk] *= coupling / (2.0 * n)
-        out[lo:lo + chunk] -= block @ omega
+def _diagnostic_series(phases, omega, coupling):
+    """Potential, order_r and order_phi of every row, all from one mean field
+    Z per row.  Rows go in chunks of about 2**18 phases so the complex
+    workspace stays bounded on long runs."""
+    m, n = phases.shape
+    potentials = np.empty(m)
+    order_r = np.empty(m)
+    order_phi = np.empty(m)
+    chunk = max(1, 262144 // n)
+    for lo in range(0, m, chunk):
+        rows = slice(lo, lo + chunk)
+        z = mean_field(phases[rows])
+        potentials[rows] = potential_from_mean_field(z, phases[rows], omega, coupling)
+        np.abs(z, out=order_r[rows])
+        order_phi[rows] = np.angle(z)
+    order_r /= n
+    np.minimum(order_r, 1.0, out=order_r)
+    return potentials, order_r, order_phi
 
 
 def simulate(init: PhaseConfig, freqs: NaturalFrequencies, params: SimParams,
@@ -144,23 +144,21 @@ def simulate(init: PhaseConfig, freqs: NaturalFrequencies, params: SimParams,
     diam = np.empty(cap)
     gnorm = np.empty(cap)
 
-    diff = np.empty((n, n))  # pairwise workspace, reused across steps
     vel = np.empty(n)
     step_vec = np.empty(n)
 
-    k_over_n = kk / n
     reason = "max_steps"
     m = 0  # index of the last filled row
     while True:
         theta = buf[m]
-        np.subtract(theta[None, :], theta[:, None], out=diff)
-        np.sin(diff, out=diff)
-        diff.sum(axis=1, out=vel)
-        vel *= k_over_n
-        vel += omega
+        hi = float(theta.max())
+        lo = float(theta.min())
+        if m > 0 and (hi > DIVERGENCE_LIMIT or lo < -DIVERGENCE_LIMIT):
+            raise DivergenceError(m)
+        velocity_arrays(theta, omega, kk, out=vel)
         gn = math.sqrt(float(vel @ vel))
         gnorm[m] = gn
-        diam[m] = float(theta.max() - theta.min())
+        diam[m] = hi - lo
 
         if grad_tol > 0.0 and gn < grad_tol:
             reason = "grad_norm"
@@ -180,16 +178,10 @@ def simulate(init: PhaseConfig, freqs: NaturalFrequencies, params: SimParams,
         np.multiply(vel, h, out=step_vec)
         np.add(theta, step_vec, out=buf[m + 1])
         m += 1
-        if abs(float(buf[m].max())) > DIVERGENCE_LIMIT or abs(float(buf[m].min())) > DIVERGENCE_LIMIT:
-            raise DivergenceError(m)
 
     phases = buf[: m + 1].copy()
     phases.setflags(write=False)
-    potentials = np.empty(m + 1)
-    _potential_series(phases, omega, kk, potentials)
-    order_r = np.empty(m + 1)
-    order_phi = np.empty(m + 1)
-    _order_series(phases, order_r, order_phi)
+    potentials, order_r, order_phi = _diagnostic_series(phases, omega, kk)
     return Trajectory(
         phases=phases,
         params=params,

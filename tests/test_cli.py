@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line harness."""
 import json
 import math
+import re
 
 import pytest
 
@@ -223,3 +224,40 @@ max_steps = 100000
 conv_tol = 1e-300
 """)
     assert main(["run", cfg, "--out", str(tmp_path / "d"), "--quiet"]) == 3
+
+
+@pytest.mark.parametrize("key", ["step", "coupling", "conv_tol"])
+def test_non_finite_parameter_exits_2(tmp_path, key):
+    text = re.sub(rf"^{key} = .*$", f"{key} = inf", IDENTICAL_CFG, flags=re.M)
+    cfg = write_config(tmp_path / "inf.ini", text)
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+
+
+def test_json_certifier_options_are_numbers(tmp_path):
+    def run(value, name):
+        data = {"run": {"model": "identical", "n": 3, "coupling": 1.0,
+                        "step": 0.01, "max_steps": 200},
+                "certifiers": {"uniform_bound": {"l": value}}}
+        cfg = write_config(tmp_path / f"{name}.json", json.dumps(data))
+        return main(["run", cfg, "--out", str(tmp_path / name), "--quiet"])
+
+    # a numeric string is read as in an INI file; anything else is bad input
+    assert run("1.0", "string") == 0
+    report = json.loads((tmp_path / "string" / "report.json").read_text())
+    assert report["config"]["certifiers"] == {"uniform_bound": {"l": 1.0}}
+    assert report["verdicts"][0]["passed"]
+    assert run("wide", "word") == 2
+    assert run([1.0], "list") == 2
+
+
+def test_unmet_diameter_decay_hypothesis_is_a_verdict(tmp_path):
+    text = IDENTICAL_CFG.replace("near-sync(0.1)", "near-sync(0.5)")
+    cfg = write_config(tmp_path / "run.ini", text)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    verdicts = {v["name"]: v for v in report["verdicts"]}
+    assert verdicts["diameter_decay"]["passed"] is False
+    assert "exceeds eps" in verdicts["diameter_decay"]["reason"]
+    assert verdicts["order_preservation"]["passed"]
+    assert (out / "trajectory.csv").exists()

@@ -10,11 +10,12 @@ from kdgf import (
     PhaseConfig,
     SimParams,
     diameter,
+    inits,
     kuramoto_gradient,
     kuramoto_potential,
     order_parameter,
 )
-from kdgf.core import velocity_arrays
+from kdgf.core import coupling_sums, potential_arrays, velocity_arrays
 
 
 def fd_gradient(theta, omega, k, eps=1e-6):
@@ -27,6 +28,17 @@ def fd_gradient(theta, omega, k, eps=1e-6):
         tm[i] -= eps
         g[i] = (base(tp) - base(tm)) / (2 * eps)
     return g
+
+
+def pairwise_coupling_sums(theta):
+    """sum_j sin(theta_j - theta_i) summed pair by pair: the O(N^2) oracle
+    for the mean-field kernel."""
+    return np.sin(theta[None, :] - theta[:, None]).sum(axis=1)
+
+
+def pairwise_potential(theta, omega, k):
+    diff = theta[None, :] - theta[:, None]
+    return -(omega @ theta) + k / (2 * theta.size) * (1.0 - np.cos(diff)).sum()
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +73,13 @@ def test_sim_params_validation():
         SimParams(coupling=1.0, step_size=-0.1)
     with pytest.raises(ValueError):
         SimParams(coupling=1.0, step_size=0.1, conv_tol=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            SimParams(coupling=bad, step_size=0.1)
+        with pytest.raises(ValueError, match="finite"):
+            SimParams(coupling=1.0, step_size=bad)
+        with pytest.raises(ValueError, match="finite"):
+            SimParams(coupling=1.0, step_size=0.1, conv_tol=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -223,3 +242,22 @@ def test_coupling_sum_conservation_large_n():
         theta = theta + h * v
     tol = n * steps * np.finfo(float).eps * max(1.0, np.abs(theta).max())
     assert abs(theta.sum() - s0) <= tol
+
+
+@pytest.mark.parametrize("n", [2, 4, 64, 2048])
+@pytest.mark.parametrize("kind", ["random_arc", "near_sync"])
+def test_mean_field_kernel_matches_pairwise_oracle(n, kind):
+    # The O(N) identity rounds differently from the pairwise sum.  Its error
+    # is of order N * eps * K (measured worst case 1.0 * N * eps * K over 20
+    # seeds); the tolerance leaves a factor of 4.
+    rng = np.random.default_rng(n)
+    if kind == "random_arc":
+        theta = inits.random_arc(n, 3.0, rng).phases
+    else:
+        theta = inits.near_sync(n, 0.05).phases + rng.uniform(-1.0, 1.0)
+    omega = inits.uniform_frequencies(n, 0.2, rng).omega
+    k = 1.5
+    tol = 4 * n * np.finfo(float).eps
+    assert np.abs(coupling_sums(theta) - pairwise_coupling_sums(theta)).max() <= tol
+    pot = potential_arrays(theta, omega, k)
+    assert abs(pot - pairwise_potential(theta, omega, k)) <= k * tol

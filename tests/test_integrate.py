@@ -12,7 +12,10 @@ from kdgf import (
     StoppingRule,
     euler_error_bound,
     euler_step,
+    inits,
     kuramoto_gradient,
+    kuramoto_potential,
+    order_parameter,
     rk4_reference,
     simulate,
 )
@@ -123,8 +126,10 @@ def test_simulate_divergence_guard():
     # pure drift with large frequencies walks past the guard
     f = NaturalFrequencies([-200.0, 200.0])
     p = SimParams(coupling=1e-6, step_size=1.0, max_steps=100_000, conv_tol=1e-300)
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError) as exc:
         simulate(PhaseConfig([-1.0, 1.0]), f, p, StoppingRule(grad_tol=0.0))
+    # |theta| = 1 + 200 m first exceeds 1e6 at step m = 5000
+    assert exc.value.step == 5000
 
 
 def test_simulate_deterministic_bytes():
@@ -145,6 +150,34 @@ def test_trajectory_diagnostics_lengths():
                 traj.order_r, traj.order_phi):
         assert arr.shape == (m,)
     assert traj.times[-1] == pytest.approx(25 * 0.02)
+
+
+def test_trajectory_diagnostics_match_per_config_functions():
+    n, k = 64, 1.0
+    init = inits.random_arc(n, 3.0, np.random.default_rng(5))
+    f = inits.uniform_frequencies(n, 0.3, np.random.default_rng(6))
+    traj = simulate(init, f, SimParams(k, 0.05, max_steps=300),
+                    StoppingRule(grad_tol=0.0))
+    eps = np.finfo(float).eps
+    for i in range(0, traj.n_steps + 1, 13):
+        c = traj.config(i)
+        pot = kuramoto_potential(c, f, k)
+        assert abs(traj.potentials[i] - pot) <= 4 * n * eps * max(1.0, abs(pot))
+        op = order_parameter(c)
+        assert traj.order_r[i] == pytest.approx(op.r, abs=4 * eps)
+        assert traj.order_phi[i] == pytest.approx(op.phi, abs=4 * eps * math.pi)
+
+
+def test_simulate_large_n_near_sync_reaches_grad_tol():
+    # The mean-field kernel's rounding floor on the gradient norm must stay
+    # below conv_tol at large N, or near-sync runs would never stop.
+    n, k, h = 10_000, 1.0, 0.1
+    traj = simulate(inits.near_sync(n, 0.05), NaturalFrequencies.zero(n),
+                    SimParams(k, h, max_steps=500, conv_tol=1e-10))
+    assert traj.stop_reason == "grad_norm"
+    # the last steps still contract at the linear rate 1 - hK, not at noise
+    ratio = traj.grad_norms[-1] / traj.grad_norms[-2]
+    assert ratio == pytest.approx(1.0 - h * k, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
