@@ -19,9 +19,6 @@ import numpy as np
 from .core import PhaseConfig, subset_indices, velocity_arrays
 from .integrate import Trajectory, rk4_step
 
-TWO_PI = 2.0 * math.pi
-
-
 # ---------------------------------------------------------------------------
 # equilibrium states
 # ---------------------------------------------------------------------------
@@ -151,11 +148,13 @@ class InitialClassification:
     witness: ClassificationWitness
 
 
-def _match_half_turn_grid(y: np.ndarray, tol: float):
-    """Try to read (windings, opposed index) off a near-critical state.
+def _read_half_turn_grid(y: np.ndarray):
+    """Read (windings, opposed index) off a near-critical state: round each
+    phase to the nearest half turn about the mean-field angle and classify
+    by the parity of the half-turn counts.
 
-    Returns (EquilibriumState, residual) or (None, residual) when the state
-    is not within tol of a single-opposed-oscillator pattern (e.g. a
+    Returns (EquilibriumState, worst phase residual), or (None, inf) when
+    the mean field vanishes or more than one half-turn count is odd (a
     higher-order saddle with several opposed members)."""
     z = np.exp(1j * y).mean()
     if abs(z) < 1e-14:
@@ -166,15 +165,10 @@ def _match_half_turn_grid(y: np.ndarray, tol: float):
     if odd.size == 0:
         eq = EquilibriumState.sync(a // 2)
     elif odd.size == 1:
-        w = a // 2
-        w[odd[0]] = (a[odd[0]] - 1) // 2
-        eq = EquilibriumState.bipolar(w, int(odd[0]))
+        eq = EquilibriumState.bipolar(a // 2, int(odd[0]))
     else:
         return None, math.inf
-    residual = float(np.abs(y - eq.reconstruct()).max())
-    if residual > tol:
-        return None, residual
-    return eq, residual
+    return eq, float(np.abs(y - eq.reconstruct()).max())
 
 
 def classify_initial(init: PhaseConfig, coupling: float, *,
@@ -224,8 +218,8 @@ def classify_initial(init: PhaseConfig, coupling: float, *,
         v = velocity_arrays(y, omega, coupling)
         gn = float(np.linalg.norm(v))
         if gn < max(cap, grad_tol):
-            eq, residual = _match_half_turn_grid(y, residual_tol)
-            if eq is not None:
+            eq, residual = _read_half_turn_grid(y)
+            if residual < residual_tol:
                 sync = y if eq.kind == "sync" else np.delete(y, eq.bipolar_index)
                 return InitialClassification(
                     kind=eq.kind,
@@ -250,33 +244,14 @@ def classify_initial(init: PhaseConfig, coupling: float, *,
 def match_equilibrium(final: PhaseConfig, tol: float = 1e-6) -> EquilibriumState | None:
     """Find the locked state closest to a converged configuration.
 
-    Tries the all-sync pattern first, then each single-opposed-oscillator
-    candidate; accepts when the worst phase residual is below tol.  Returns
+    Reads the single-opposed-oscillator half-turn grid (as classify_initial
+    does) and accepts when the worst phase residual is below tol.  Returns
     None ("unconverged") when nothing matches, e.g. half-integer residuals
-    from a multi-opposed saddle.
+    from a multi-opposed saddle.  Meant for N >= 3 and tol < 1 rad: at N = 2
+    the mean field vanishes at the opposed state.
     """
-    y = final.phases
-    n = y.size
-    z = np.exp(1j * y).mean()
-    if abs(z) < 1e-14:
-        return None
-    phi_hat = math.atan2(z.imag, z.real)
-
-    k_sync = np.round((y - phi_hat) / TWO_PI).astype(np.int64)
-    eq = EquilibriumState.sync(k_sync)
-    if float(np.abs(y - eq.reconstruct()).max()) < tol:
-        return eq
-
-    best = None
-    best_res = tol
-    for b in range(n):
-        k = np.round((y - phi_hat) / TWO_PI).astype(np.int64)
-        k[b] = int(round((y[b] - phi_hat - math.pi) / TWO_PI))
-        cand = EquilibriumState.bipolar(k, b)
-        res = float(np.abs(y - cand.reconstruct()).max())
-        if res < best_res:
-            best, best_res = cand, res
-    return best
+    eq, residual = _read_half_turn_grid(final.phases)
+    return eq if residual < tol else None
 
 
 # ---------------------------------------------------------------------------
@@ -315,37 +290,31 @@ def check_order_preservation(traj: Trajectory, subset) -> OrderCheck:
 class DecayCertificate:
     passed: bool
     first_violation: int | None
-    margin: np.ndarray  # observed / bound per step (clipped for report use)
 
 
-def _exp_envelope_check(values: np.ndarray, base: float, rate: float, h: float,
-                        floor: float = 0.0):
-    """Strict values[n] < base*exp(-rate*n*h) for n >= 1 (non-strict at 0),
-    compared in log space to stay meaningful past exp underflow.  Exact zeros
-    pass (fully collapsed); steps with values < floor are treated as
-    converged-to-noise and skipped."""
-    m = values.size
-    steps = np.arange(m)
-    ok = values <= 0.0
-    margin = np.zeros(m)
-    pos = ~ok
-    if base > 0 and pos.any():
-        log_bound = math.log(base) - rate * steps[pos] * h
-        log_vals = np.log(values[pos])
-        ok[pos] = log_vals < log_bound
-        margin[pos] = np.exp(np.clip(log_vals - log_bound, -700, 700))
-    elif pos.any():
-        margin[pos] = math.inf
-    ok[0] = values[0] <= base
-    if floor > 0:
-        ok |= values < floor
-    bad = np.nonzero(~ok)[0]
-    return (bad.size == 0, int(bad[0]) if bad.size else None, margin)
+def _log_excess(values: np.ndarray, base: float, rate: float, h: float) -> np.ndarray:
+    """log(values[n] / (base * exp(-rate * n * h))) per step, in log space so
+    it stays meaningful past exp underflow; -inf where a value is exactly 0
+    (fully collapsed).  Negative means under the envelope."""
+    log_base = math.log(base) if base > 0 else -math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(values) - (log_base - rate * np.arange(values.size) * h)
+    out[values == 0] = -math.inf
+    return out
+
+
+def _first_failure(**ok_masks):
+    """Earliest (step, name) at which a named per-step mask is False, ties
+    going to the first name in sort order; None when every mask holds."""
+    fails = [(int(np.argmin(ok)), name) for name, ok in ok_masks.items() if not ok.all()]
+    return min(fails, default=None)
 
 
 def certify_diameter_decay(traj: Trajectory, subset, eps: float,
                            rate: float, floor: float = 0.0) -> DecayCertificate:
-    """Certify subset diameter D(n) < D(0) * exp(-rate * n * h) at every step.
+    """Certify subset diameter D(n) < D(0) * exp(-rate * n * h) at every step
+    n >= 1.  Exact zeros pass (fully collapsed); steps with D(n) < floor are
+    treated as converged-to-noise and skipped.
 
     Requires the initial subset diameter to be below eps (the envelope's
     validity region); violated preconditions raise.
@@ -354,9 +323,11 @@ def certify_diameter_decay(traj: Trajectory, subset, eps: float,
     d = _subset_diameters(traj.phases, idx)
     if not d[0] < eps:
         raise ValueError("initial diameter exceeds eps")
-    passed, first_bad, margin = _exp_envelope_check(
-        d, float(d[0]), rate, traj.params.step_size, floor)
-    return DecayCertificate(passed, first_bad, margin)
+    excess = _log_excess(d, float(d[0]), rate, traj.params.step_size)
+    ok = (excess < 0) | (d < floor)
+    ok[0] = True  # D(0) is the envelope's base
+    fail = _first_failure(envelope=ok)
+    return DecayCertificate(fail is None, None if fail is None else fail[0])
 
 
 @dataclass(frozen=True)
@@ -389,23 +360,13 @@ def certify_two_sided_decay(traj: Trajectory, subset, coupling: float,
     h = traj.params.step_size
     active = d >= floor
     active[0] = False  # boundary step is an equality by construction
-    steps = np.arange(d.size)
-    log_d0 = math.log(d0)
-    with np.errstate(divide="ignore"):
-        log_d = np.where(d > 0, np.log(np.maximum(d, 1e-320)), -math.inf)
-    low_ok = ~active | (log_d0 - 2.0 * coupling * steps * h < log_d)
-    up_ok = ~active | (log_d < log_d0 - alpha * steps * h)
-    bad_low = np.nonzero(~low_ok)[0]
-    bad_up = np.nonzero(~up_ok)[0]
-    candidates = []
-    if bad_low.size:
-        candidates.append((int(bad_low[0]), "lower"))
-    if bad_up.size:
-        candidates.append((int(bad_up[0]), "upper"))
-    if not candidates:
-        return TwoSidedCertificate(True, None, None, int(active.sum()))
-    step, side = min(candidates)
-    return TwoSidedCertificate(False, step, side, int(active.sum()))
+    fail = _first_failure(
+        lower=~active | (_log_excess(d, d0, 2.0 * coupling, h) > 0),
+        upper=~active | (_log_excess(d, d0, alpha, h) < 0))
+    checked = int(active.sum())
+    if fail is None:
+        return TwoSidedCertificate(True, None, None, checked)
+    return TwoSidedCertificate(False, *fail, checked)
 
 
 @dataclass(frozen=True)
@@ -488,26 +449,18 @@ def certify_bipolar_bounds(traj: Trajectory, eq: EquilibriumState, alpha: float,
         raise ValueError("hypotheses unmet: " + "; ".join(failures))
 
     h = traj.params.step_size
-    steps = np.arange(traj.n_steps + 1)
-    envelope = d0 * np.exp(-alpha * steps * h)
-    opp_res = np.abs(ef[:, b] - (n - 1) * math.pi / n)
-    locked_res = np.abs(ef[:, mask] + math.pi / n).max(axis=1)
-
-    opp_ok = opp_res < (n - 1) / n * envelope
-    locked_ok = locked_res < (2 * n - 1) / n * envelope
-    opp_ok[0] = opp_res[0] <= (n - 1) / n * d0
-    locked_ok[0] = locked_res[0] <= (2 * n - 1) / n * d0
-    bad_opp = np.nonzero(~opp_ok)[0]
-    bad_locked = np.nonzero(~locked_ok)[0]
-    candidates = []
-    if bad_opp.size:
-        candidates.append((int(bad_opp[0]), "opposed"))
-    if bad_locked.size:
-        candidates.append((int(bad_locked[0]), "locked"))
-    if not candidates:
+    opp_excess = _log_excess(np.abs(ef[:, b] - (n - 1) * math.pi / n),
+                             (n - 1) / n * d0, alpha, h)
+    locked_excess = _log_excess(np.abs(ef[:, mask] + math.pi / n).max(axis=1),
+                                (2 * n - 1) / n * d0, alpha, h)
+    opp_ok = opp_excess < 0
+    locked_ok = locked_excess < 0
+    opp_ok[0] = opp_excess[0] <= 0
+    locked_ok[0] = locked_excess[0] <= 0
+    fail = _first_failure(opposed=opp_ok, locked=locked_ok)
+    if fail is None:
         return BipolarBoundsCertificate(True, None, None)
-    step, which = min(candidates)
-    return BipolarBoundsCertificate(False, step, which)
+    return BipolarBoundsCertificate(False, *fail)
 
 
 # ---------------------------------------------------------------------------

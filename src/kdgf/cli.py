@@ -79,7 +79,6 @@ class RunConfig:
     # generic descent extras
     problem: str = "double_well"
     x0: str = "explicit(0.1)"
-    hessian_bound: float | None = None
 
     def validate(self):
         if self.model not in ("identical", "nonidentical", "generic_dgf"):
@@ -91,9 +90,14 @@ class RunConfig:
                 raise ConfigError("coupling must be given, positive and finite")
             if self.n < 2:
                 raise ConfigError("n must be at least 2")
-        for name in self.certifiers:
+        for name, kw in self.certifiers.items():
             if name not in CERTIFIERS:
                 raise ConfigError(f"unknown certifier {name!r}")
+            missing = [k for k in _REQUIRED_OPTIONS.get(name, ()) if k not in kw]
+            if missing:
+                raise ConfigError(f"{name} needs " + " and ".join(f"{k}=..." for k in missing))
+            if "eps" in kw and not 0 < kw["eps"] < math.inf:
+                raise ConfigError(f"{name} option eps must be positive and finite")
 
 
 def _number(key: str, value) -> float:
@@ -105,49 +109,72 @@ def _number(key: str, value) -> float:
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
 
 
+def _ini_options(text) -> dict:
+    """``key=value, ...`` of an INI certifier entry, values still text."""
+    parts = [part.strip() for part in (text or "").split(",") if part.strip()]
+    for part in parts:
+        if "=" not in part:
+            raise ConfigError(f"certifier option {part!r} must be key=value")
+    return {k.strip(): v for k, v in (part.split("=", 1) for part in parts)}
+
+
+def _integer(key: str, value) -> int:
+    """``value`` as an int: an integer, a whole float or the text of either;
+    a fraction, an infinity, NaN or a non-number is a ConfigError."""
+    if isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    number = _number(key, value)
+    if not number.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _object(key: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, got {value!r}")
+    return value
+
+
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     if path.suffix == ".json":
-        data = json.loads(path.read_text())
-        run = dict(data.get("run", {}))
-        certs = {name: dict(opts or {})
-                 for name, opts in data.get("certifiers", {}).items()}
+        data = _object("the config", json.loads(path.read_text()))
+        run = _object("run", data.get("run", {}))
+        certs = {name: _object(f"certifier {name}", {} if opts is None else opts)
+                 for name, opts in _object("certifiers", data.get("certifiers", {})).items()}
     else:
         cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-        cp.read(path)
-        if "run" not in cp:
+        try:
+            cp.read(path)
+            run = dict(cp["run"]) if "run" in cp else None
+            certs = dict(cp["certifiers"]) if "certifiers" in cp else {}
+        except configparser.Error as exc:
+            raise ConfigError(f"cannot parse config: {exc}") from None
+        if run is None:
             raise ConfigError("config needs a [run] section")
-        run = dict(cp["run"])
-        certs = {}
-        if "certifiers" in cp:
-            for name, val in cp["certifiers"].items():
-                kw = {}
-                for part in (val or "").split(","):
-                    part = part.strip()
-                    if not part:
-                        continue
-                    if "=" not in part:
-                        raise ConfigError(f"certifier option {part!r} must be key=value")
-                    k, v = part.split("=", 1)
-                    kw[k.strip()] = v
-                certs[name] = kw
+        certs = {name: _ini_options(val) for name, val in certs.items()}
 
+    run = {k: v for k, v in run.items() if v is not None}
     cfg = RunConfig(model=str(run.get("model", "identical")).lower(),
-                    n=int(run.get("n", 0) or 0))
+                    n=_integer("n", run.get("n", 0)))
     for key in ("seed", "max_steps"):
         if key in run:
-            setattr(cfg, key, int(run[key]))
-    for key in ("coupling", "step", "conv_tol", "hessian_bound"):
-        if key in run and run[key] is not None:
+            setattr(cfg, key, _integer(key, run[key]))
+    for key in ("coupling", "step", "conv_tol"):
+        if key in run:
             setattr(cfg, key, _number(key, run[key]))
     for key in ("init", "omega", "problem", "x0"):
         if key in run:
             setattr(cfg, key, str(run[key]))
-    cfg.certifiers = {str(name).lower(): {k: _number(f"{name} option {k}", v)
-                                          for k, v in kw.items()}
-                      for name, kw in certs.items()}
+    cfg.certifiers = {
+        str(name).lower(): {k: (_integer if k in _INTEGER_OPTIONS else _number)(
+            f"{name} option {k}", v) for k, v in kw.items()}
+        for name, kw in certs.items()}
     cfg.validate()
     return cfg
 
@@ -259,9 +286,7 @@ def _cert_bipolar_bounds(traj, kw):
 
 
 def _cert_cluster_invariance(traj, kw):
-    if "n0" not in kw or "l" not in kw:
-        raise ConfigError("cluster_invariance needs n0=... and l=...")
-    spec = analysis.cluster_spec(traj.n, int(kw["n0"]), kw["l"],
+    spec = analysis.cluster_spec(traj.n, kw["n0"], kw["l"],
                                  traj.freqs.d_omega, traj.params.coupling)
     try:
         cert = analysis.certify_cluster_invariance(traj, spec)
@@ -274,18 +299,15 @@ def _cert_cluster_invariance(traj, kw):
 
 
 def _cert_uniform_bound(traj, kw):
-    if "l" not in kw:
-        raise ConfigError("uniform_bound needs l=...")
     cert = analysis.certify_uniform_bound(traj, kw["l"])
     return {"passed": cert.passed, "first_violation": cert.first_violation,
             "max_diameter": float(cert.curve.max())}
 
 
 def _cert_fit_decay(traj, kw):
-    lo = int(kw.get("start", 0))
-    hi = int(kw.get("stop", traj.n_steps + 1))
+    window = (kw.get("start", 0), kw.get("stop", traj.n_steps + 1))
     try:
-        fit = analysis.fit_decay_rate(traj.diameters, traj.params.step_size, (lo, hi))
+        fit = analysis.fit_decay_rate(traj.diameters, traj.params.step_size, window)
     except ValueError as exc:
         return {"passed": False, "reason": str(exc)}
     return {"passed": True, "alpha_fit": fit.alpha_fit,
@@ -294,7 +316,7 @@ def _cert_fit_decay(traj, kw):
 
 def _cert_error_bound(traj, kw):
     # rebuilds the continuous reference at dt = h/10; cost grows with the run
-    if traj.n_steps > int(kw.get("max_steps", 20_000)):
+    if traj.n_steps > kw.get("max_steps", 20_000):
         return {"passed": False,
                 "reason": "run too long for the reference integration"}
     h = traj.params.step_size
@@ -306,6 +328,11 @@ def _cert_error_bound(traj, kw):
             "truncation_max": rep.truncation_max,
             "max_observed_error": float(rep.observed_error.max())}
 
+
+# options read as integers (the rest are floats), and the options a
+# certifier cannot run without, checked before the run
+_INTEGER_OPTIONS = {"n0", "start", "stop", "max_steps"}
+_REQUIRED_OPTIONS = {"cluster_invariance": ("n0", "l"), "uniform_bound": ("l",)}
 
 CERTIFIERS = {
     "order_preservation": _cert_order_preservation,
@@ -328,31 +355,27 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _trajectory_table(traj: Trajectory) -> dict:
+    """The columns of a trajectory file: time, the phases (one row per
+    step), then the per-step diagnostics."""
+    return {"t": traj.times, "theta": traj.phases, "diameter": traj.diameters,
+            "potential": traj.potentials, "grad_norm": traj.grad_norms,
+            "order_r": traj.order_r, "order_phi": traj.order_phi}
+
+
 def write_trajectory_csv(traj: Trajectory, path: Path):
-    h = traj.params.step_size
-    cols = ["n", "t"] + [f"theta_{i}" for i in range(traj.n)]
-    cols += ["diameter", "potential", "grad_norm", "order_r", "order_phi"]
+    table = _trajectory_table(traj)
+    cols = ["n"]
+    for name, col in table.items():
+        cols += [f"{name}_{i}" for i in range(col.shape[1])] if col.ndim == 2 else [name]
     lines = [",".join(cols)]
-    for i in range(traj.n_steps + 1):
-        row = [str(i), _fmt(i * h)]
-        row += [_fmt(v) for v in traj.phases[i]]
-        row += [_fmt(traj.diameters[i]), _fmt(traj.potentials[i]),
-                _fmt(traj.grad_norms[i]), _fmt(traj.order_r[i]),
-                _fmt(traj.order_phi[i])]
-        lines.append(",".join(row))
+    lines += [f"{i}," + ",".join(map(repr, row.tolist()))
+              for i, row in enumerate(np.column_stack(list(table.values())))]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_trajectory_json(traj: Trajectory, path: Path):
-    data = {
-        "t": [float(i * traj.params.step_size) for i in range(traj.n_steps + 1)],
-        "theta": [[float(v) for v in row] for row in traj.phases],
-        "diameter": [float(v) for v in traj.diameters],
-        "potential": [float(v) for v in traj.potentials],
-        "grad_norm": [float(v) for v in traj.grad_norms],
-        "order_r": [float(v) for v in traj.order_r],
-        "order_phi": [float(v) for v in traj.order_phi],
-    }
+    data = {name: col.tolist() for name, col in _trajectory_table(traj).items()}
     _atomic_write(path, json.dumps(data, sort_keys=True))
 
 
@@ -528,8 +551,16 @@ def execute_sweep(cfg: RunConfig, axis: str, values, out_dir: Path,
         c.seed = cfg.seed ^ i  # documented per-point seed derivation
         points.append((i, v, c))
 
-    results = [(i, v, execute_run(c, out_dir / f"point_{i:03d}", fmt=fmt, quiet=True))
-               for i, v, c in points]
+    results, diverged = [], None
+    for i, v, c in points:
+        try:
+            report = execute_run(c, out_dir / f"point_{i:03d}", fmt=fmt, quiet=True)
+        except DivergenceError as exc:
+            # a divergent point is a summary row; the sweep goes on
+            diverged = diverged or exc
+            report = {"trajectory": {"steps": exc.step, "stop_reason": "diverged",
+                                     "final_grad_norm": math.nan}, "verdicts": []}
+        results.append((i, v, report))
 
     cert_names = list(cfg.certifiers) or (
         ["descent"] if cfg.model == "generic_dgf" else [])
@@ -545,6 +576,8 @@ def execute_sweep(cfg: RunConfig, axis: str, values, out_dir: Path,
     _atomic_write(out_dir / "summary.csv", "\n".join(lines) + "\n")
     if not quiet:
         print(f"sweep summary written to {out_dir / 'summary.csv'}")
+    if diverged is not None:
+        raise diverged
     return [r for _, _, r in results]
 
 

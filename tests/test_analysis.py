@@ -193,6 +193,56 @@ def test_match_winding_run_agrees_with_classification():
     assert np.any(eq.windings != eq.windings[0])
 
 
+def candidate_search(final, tol):
+    """Test oracle: the all-sync pattern, then every single-opposed-oscillator
+    candidate, each built from whole turns about the mean-field angle; the
+    first sync match or the best bipolar match below tol wins.  O(N^2)."""
+    y = final.phases
+    z = np.exp(1j * y).mean()
+    if abs(z) < 1e-14:
+        return None
+    phi_hat = math.atan2(z.imag, z.real)
+    k_sync = np.round((y - phi_hat) / (2 * math.pi)).astype(np.int64)
+    eq = EquilibriumState.sync(k_sync)
+    if float(np.abs(y - eq.reconstruct()).max()) < tol:
+        return eq
+    best, best_res = None, tol
+    for b in range(y.size):
+        k = k_sync.copy()
+        k[b] = int(round((y[b] - phi_hat - math.pi) / (2 * math.pi)))
+        cand = EquilibriumState.bipolar(k, b)
+        res = float(np.abs(y - cand.reconstruct()).max())
+        if res < best_res:
+            best, best_res = cand, res
+    return best
+
+
+def test_match_agrees_with_candidate_search():
+    rng = np.random.default_rng(20190909)
+    kinds = set()
+    for _ in range(3000):
+        n = int(rng.integers(3, 12))
+        w = rng.integers(-2, 3, n)
+        if rng.random() < 0.5:
+            eq = EquilibriumState.sync(w)
+        else:
+            eq = EquilibriumState.bipolar(w, int(rng.integers(0, n)))
+        noise = 10.0 ** rng.uniform(-9, 0) * rng.standard_normal(n)
+        final = PhaseConfig(eq.reconstruct() + noise)
+        tol = 10.0 ** rng.uniform(-8, -0.01)
+        got, want = match_equilibrium(final, tol), candidate_search(final, tol)
+        if want is None:
+            assert got is None
+            continue
+        kinds.add(want.kind)
+        assert got is not None
+        assert got.kind == want.kind
+        assert got.bipolar_index == want.bipolar_index
+        assert np.array_equal(got.windings, want.windings)
+        assert got.phi_star == want.phi_star
+    assert kinds == {"sync", "bipolar"}
+
+
 # ---------------------------------------------------------------------------
 # order preservation
 # ---------------------------------------------------------------------------
@@ -315,6 +365,31 @@ def test_bipolar_bounds_near_run_and_rate_cap():
     # deliberately mis-set rate far above the attraction scale: must fail
     bad = certify_bipolar_bounds(traj, eq, alpha=10 * k, eps=eps)
     assert not bad.passed
+
+
+def test_bipolar_bounds_collapsed_residuals_pass_past_exp_underflow():
+    # alpha*n*h = 800 puts the envelope D(0)exp(-alpha n h) below the double
+    # range; exactly collapsed residuals must still pass, as they do for
+    # certify_diameter_decay.
+    eq = EquilibriumState.bipolar([0, 0, 0], 2)
+    exact = eq.reconstruct()
+    start = exact + np.array([-0.01, 0.01, 0.0])  # locked spread 0.02
+    traj = synthetic_trajectory([start, exact, exact, exact], h=1.0)
+    cert = certify_bipolar_bounds(traj, eq, alpha=800.0, eps=0.3)
+    assert cert.passed, cert
+    assert certify_diameter_decay(traj, [0, 1], eps=0.3, rate=800.0).passed
+
+
+def test_bipolar_bounds_reports_earliest_failure():
+    eq = EquilibriumState.bipolar([0, 0, 0], 2)
+    exact = eq.reconstruct()
+    start = exact + np.array([-0.01, 0.01, 0.0])
+    # a common shift of 0.015 at step 2 sits under the locked bound
+    # (5/3)(0.02)e^-0.2 = 0.027 but over the opposed one (2/3)(0.02)e^-0.2 = 0.011
+    shifted = exact + 0.015
+    traj = synthetic_trajectory([start, exact, shifted], h=1.0)
+    cert = certify_bipolar_bounds(traj, eq, alpha=0.1, eps=0.3)
+    assert (cert.passed, cert.first_violation, cert.which) == (False, 2, "opposed")
 
 
 def test_bipolar_bounds_reports_unmet_hypotheses():

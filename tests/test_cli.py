@@ -3,9 +3,11 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
-from kdgf.cli import main
+from kdgf import NaturalFrequencies, SimParams, Trajectory
+from kdgf.cli import main, write_trajectory_csv, write_trajectory_json
 
 
 def write_config(path, text):
@@ -211,8 +213,7 @@ def test_thresholds_subcommand(capsys):
     assert data["step_max"] > 0
 
 
-def test_divergence_exit_code(tmp_path):
-    cfg = write_config(tmp_path / "div.ini", """
+DIVERGENT_CFG = """
 [run]
 model = nonidentical
 n = 2
@@ -222,8 +223,124 @@ coupling = 1e-6
 step = 1.0
 max_steps = 100000
 conv_tol = 1e-300
-""")
+"""
+
+
+def test_divergence_exit_code(tmp_path):
+    cfg = write_config(tmp_path / "div.ini", DIVERGENT_CFG)
     assert main(["run", cfg, "--out", str(tmp_path / "d"), "--quiet"]) == 3
+
+
+def test_sweep_divergent_point_is_a_summary_row(tmp_path, capsys):
+    # h = 1.0 diverges near step 5000; h = 0.001 runs all 6000 steps
+    text = DIVERGENT_CFG.replace("max_steps = 100000", "max_steps = 6000")
+    cfg = write_config(tmp_path / "div.ini",
+                       text + "\n[certifiers]\norder_preservation =\n")
+    out = tmp_path / "sweep"
+    # the divergent point comes first: the points after it still run
+    assert main(["sweep", cfg, "--axis", "h", "--values", "1.0,0.001",
+                 "--out", str(out), "--quiet"]) == 3
+    step = re.search(r"at step (\d+)", capsys.readouterr().err).group(1)
+    lines = (out / "summary.csv").read_text().splitlines()
+    assert lines[0] == "index,h,steps,stop_reason,final_grad_norm,cert_order_preservation"
+    assert lines[1] == f"0,1.0,{step},diverged,nan,fail"
+    report = json.loads((out / "point_001" / "report.json").read_text())
+    assert report["trajectory"]["stop_reason"] == "max_steps"
+    assert lines[2].startswith("1,0.001,6000,max_steps,") and lines[2].endswith(",pass")
+
+
+@pytest.mark.parametrize("options", ["", "l=1.0", "n0=2"])
+def test_missing_certifier_option_exits_2_before_the_run(tmp_path, options):
+    # the divergent run would exit 3 if the options were checked after it
+    name = "uniform_bound" if options == "" else "cluster_invariance"
+    cfg = write_config(tmp_path / "div.ini",
+                       DIVERGENT_CFG + f"\n[certifiers]\n{name} = {options}\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+
+
+GOOD_RUN = {"model": "identical", "n": 3, "coupling": 1.0, "step": 0.01,
+            "max_steps": 200}
+
+
+@pytest.mark.parametrize("data", [
+    {"run": {**GOOD_RUN, "seed": [1]}},
+    [1, 2],
+    {"run": GOOD_RUN, "certifiers": ["uniform_bound"]},
+    {"run": [1]},
+    {"run": {**GOOD_RUN, "n": math.inf}},
+    {"run": {**GOOD_RUN, "n": math.nan}},
+    {"run": {**GOOD_RUN, "n": 3.5}},
+    {"run": {**GOOD_RUN, "max_steps": {"a": 1}}},
+    {"run": GOOD_RUN, "certifiers": {"uniform_bound": "l=1"}},
+    {"run": GOOD_RUN, "certifiers": {"fit_decay": {"start": 0.5}}},
+    {"run": GOOD_RUN, "certifiers": {"error_bound": {"max_steps": -math.inf}}},
+], ids=["seed-list", "top-level-list", "certifiers-list", "run-list", "n-inf",
+        "n-nan", "n-fraction", "max-steps-dict", "options-string",
+        "start-fraction", "max-steps-minus-inf"])
+def test_malformed_json_config_exits_2(tmp_path, data):
+    cfg = write_config(tmp_path / "bad.json", json.dumps(data))
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("old,new", [
+    ("diameter_decay = eps=0.3", "fit_decay = start=inf"),
+    ("diameter_decay = eps=0.3", "cluster_invariance = n0=nan, l=1.0"),
+    ("seed = 12345", "seed = 1.5"),
+    ("seed = 12345", "seed = %(missing)s"),
+    ("[certifiers]", "[run]\nn = 4\n[certifiers]"),
+    ("[certifiers]", "no equals sign\n[certifiers]"),
+    ("diameter_decay = eps=0.3", "diameter_decay = eps=0"),
+    ("diameter_decay = eps=0.3", "bipolar_bounds = eps=inf"),
+], ids=["start-inf", "n0-nan", "seed-fraction", "bad-interpolation",
+        "duplicate-section", "unparsable-line", "eps-zero", "eps-inf"])
+def test_malformed_ini_config_exits_2(tmp_path, old, new):
+    cfg = write_config(tmp_path / "bad.ini", IDENTICAL_CFG.replace(old, new))
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+
+
+def test_integer_values_accept_whole_numbers(tmp_path):
+    data = {"run": {**GOOD_RUN, "n": 3.0, "seed": "7", "max_steps": "2e2"},
+            "certifiers": {"fit_decay": {"start": "1", "stop": 50.0}}}
+    cfg = write_config(tmp_path / "run.json", json.dumps(data))
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["n"] == 3 and report["config"]["seed"] == 7
+    assert report["config"]["max_steps"] == 200
+    assert report["config"]["certifiers"] == {"fit_decay": {"start": 1, "stop": 50}}
+    assert report["verdicts"][0]["passed"]
+
+
+def test_trajectory_writers_render_each_value_by_repr(tmp_path):
+    phases = np.array([[-0.0, 0.1 + 0.2, 1e-300],
+                       [-1.5, 2.0 / 3.0, 123456789.125],
+                       [math.pi, -math.e, 5e-324]])
+    traj = Trajectory(
+        phases=phases, params=SimParams(coupling=1.0, step_size=0.1, max_steps=2),
+        freqs=NaturalFrequencies.zero(3), diameters=np.array([0.3, 1e-17, 7.0]),
+        potentials=np.array([-0.5, math.nan, 2.5e10]),
+        grad_norms=np.array([math.inf, 0.0, 1.0 / 3.0]),
+        order_r=np.array([1.0, 0.999999999999, 0.5]),
+        order_phi=np.array([-math.pi, 0.0, 0.25]))
+    write_trajectory_csv(traj, tmp_path / "t.csv")
+    write_trajectory_json(traj, tmp_path / "t.json")
+
+    series = [traj.diameters, traj.potentials, traj.grad_norms, traj.order_r,
+              traj.order_phi]
+    rows = ["n,t,theta_0,theta_1,theta_2,diameter,potential,grad_norm,order_r,order_phi"]
+    for i in range(3):
+        values = [i * 0.1, *phases[i], *(s[i] for s in series)]
+        rows.append(",".join([str(i)] + [repr(float(v)) for v in values]))
+    assert (tmp_path / "t.csv").read_text() == "\n".join(rows) + "\n"
+
+    def floats(a):
+        return [float(v) for v in a]
+
+    expected = {"t": [float(i * 0.1) for i in range(3)],
+                "theta": [floats(row) for row in phases],
+                **dict(zip(["diameter", "potential", "grad_norm", "order_r",
+                            "order_phi"], map(floats, series)))}
+    assert (tmp_path / "t.json").read_text() == json.dumps(expected, sort_keys=True)
 
 
 @pytest.mark.parametrize("key", ["step", "coupling", "conv_tol"])

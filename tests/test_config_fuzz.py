@@ -1,0 +1,98 @@
+"""Config fuzz: whatever an INI or JSON config holds, ``kdgf run`` exits
+0 (ran), 2 (bad input) or 3 (divergence) and never raises."""
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kdgf.cli import CERTIFIERS, main
+
+# Junk any value may be.  Text has no digits, so it never reads as a size.
+JUNK = st.one_of(
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.sampled_from("ab"), st.integers(-3, 3), max_size=1),
+    st.none(),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+NUMBER = st.one_of(st.integers(-3, 5), st.floats(-5.0, 5.0),
+                   st.sampled_from([0.0, 1e-300, math.inf, -math.inf, math.nan]))
+
+
+def spec(names, arg):
+    return st.builds(lambda name, args: f"{name}({', '.join(map(repr, args))})",
+                     st.sampled_from(names), st.lists(arg, max_size=3))
+
+
+def corrupted(valid, keys):
+    """Draws of ``valid``, about one in four with one of ``keys`` set to junk.
+    A null max_steps would mean the default of 10^6 steps, so it stays a number."""
+    def corrupt(draw):
+        config, roll, key, value = draw
+        if roll not in (3, 4, 5) or (key == "max_steps" and value is None):
+            return config
+        return {**config, key: value}
+    return st.tuples(valid, st.integers(0, 11), st.sampled_from(keys), JUNK).map(corrupt)
+
+
+# n and max_steps stay small so that no draw allocates much memory.
+RUN_KEYS = ["model", "n", "init", "coupling", "step", "max_steps", "seed", "omega",
+            "conv_tol", "problem", "x0"]
+RUN = corrupted(st.fixed_dictionaries(
+    {
+        "model": st.sampled_from(["identical", "nonidentical", "generic_dgf"]),
+        "n": st.sampled_from([2, 3, 4, 8, -3, 0, 1, 5, 16]),
+        "init": spec(["near-sync", "near-bipolar", "random-arc", "explicit"],
+                     st.one_of(st.floats(-0.5, 7.0), NUMBER)),
+        "coupling": st.sampled_from([0.02, 0.5, 0.0, 1.0, 4.0]),
+        "step": st.sampled_from([0.001, 0.01, -0.01, 0.1, 1.0]),
+        "max_steps": st.integers(-2, 300),
+    },
+    optional={
+        "seed": st.integers(-2, 2**40),
+        "omega": spec(["zero", "uniform", "explicit"], st.floats(-0.5, 2.0)),
+        "conv_tol": st.floats(-1e-3, 1e-3),
+        "problem": st.sampled_from(["double_well", "quadratic"]),
+        "x0": spec(["explicit"], st.floats(-3.0, 3.0)),
+    }), RUN_KEYS)
+FLOAT_OPTIONS = ["eps", "rate", "floor", "alpha", "tol", "l", "lipschitz"]
+INTEGER_OPTIONS = ["n0", "start", "stop", "max_steps"]
+OPTIONS = corrupted(st.tuples(
+    st.dictionaries(st.sampled_from(FLOAT_OPTIONS), NUMBER, max_size=2),
+    st.dictionaries(st.sampled_from(INTEGER_OPTIONS), st.integers(-3, 400), max_size=2),
+).map(lambda p: {**p[0], **p[1]}), FLOAT_OPTIONS + INTEGER_OPTIONS)
+CERTS = corrupted(st.dictionaries(st.sampled_from(sorted(CERTIFIERS)), OPTIONS, max_size=3),
+                  sorted(CERTIFIERS))
+
+
+def _ini_value(v) -> str:
+    if isinstance(v, dict):  # certifier options
+        return ", ".join(f"{k}={_ini_value(x)}" for k, x in v.items())
+    return "" if v is None else str(v)
+
+
+def run_config(name: str, text: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text, encoding="utf-8")
+        return main(["run", str(path), "--out", str(Path(tmp) / "out"), "--quiet"])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(run=RUN, certs=CERTS)
+def test_ini_config_never_raises(run, certs):
+    lines = ["[run]"] + [f"{k} = {_ini_value(v)}" for k, v in run.items()]
+    lines += ["[certifiers]"] + [
+        f"{name} = {_ini_value(opts)}" for name, opts in certs.items()]
+    assert run_config("run.ini", "\n".join(lines) + "\n") in (0, 2, 3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(top_junk=st.integers(0, 9), junk=JUNK, data=corrupted(
+    st.fixed_dictionaries({"run": RUN, "certifiers": CERTS}), ["run", "certifiers"]))
+def test_json_config_never_raises(top_junk, junk, data):
+    text = json.dumps(junk if top_junk == 5 else data)
+    assert run_config("run.json", text) in (0, 2, 3)
