@@ -130,7 +130,6 @@ class ClassificationWitness:
     grad_norm: float
     residual: float
     r0: float
-    sync_diameter: float = math.nan  # locked-group spread at capture
 
 
 @dataclass(frozen=True)
@@ -220,14 +219,11 @@ def classify_initial(init: PhaseConfig, coupling: float, *,
         if gn < max(cap, grad_tol):
             eq, residual = _read_half_turn_grid(y)
             if residual < residual_tol:
-                sync = y if eq.kind == "sync" else np.delete(y, eq.bipolar_index)
                 return InitialClassification(
                     kind=eq.kind,
                     bipolar_index=eq.bipolar_index,
                     equilibrium=eq,
-                    witness=ClassificationWitness(
-                        t, gn, residual, r0,
-                        sync_diameter=float(sync.max() - sync.min())),
+                    witness=ClassificationWitness(t, gn, residual, r0),
                 )
         if t >= t_max:
             raise ValueError(
@@ -550,13 +546,15 @@ def certify_cluster_invariance(traj: Trajectory, spec: ClusterSpec) -> ScanCerti
         raise ValueError("trajectory size does not match cluster spec")
     idx = np.arange(spec.n0)
     d = _subset_diameters(traj.phases, idx)
+    d0, l = float(d[0]), float(spec.l)
+    k, h = float(traj.params.coupling), float(traj.params.step_size)
     problems = []
-    if not d[0] < spec.l:
-        problems.append("initial cluster diameter not below l")
-    if not traj.params.coupling > spec.k_min:
-        problems.append("coupling not above k_min")
-    if not traj.params.step_size < spec.step_max:
-        problems.append("step size not below step_max")
+    if not d0 < l:
+        problems.append(f"initial cluster diameter {d0!r} not below l {l!r}")
+    if not k > spec.k_min:
+        problems.append(f"coupling {k!r} not above k_min {spec.k_min!r}")
+    if not h < spec.step_max:
+        problems.append(f"step size {h!r} not below step_max {spec.step_max!r}")
     if problems:
         raise ValueError("preconditions unmet: " + "; ".join(problems))
     bad = np.nonzero(d >= spec.l)[0]
@@ -582,13 +580,9 @@ class DecayFit:
     alpha_fit: float
     r_squared: float
     degenerate: bool = False
-    bound_lower: float | None = None
-    bound_upper_rate: float | None = None
 
 
-def fit_decay_rate(diam_series, h: float, window: tuple[int, int],
-                   bound_lower: float | None = None,
-                   bound_upper_rate: float | None = None) -> DecayFit:
+def fit_decay_rate(diam_series, h: float, window: tuple[int, int]) -> DecayFit:
     """Fit log D(n) = log D(0) - alpha * n * h by least squares on
     ``window`` (half-open step range).  All diameters in the window must be
     positive; a constant series fits rate 0 with the degenerate flag set."""
@@ -604,12 +598,10 @@ def fit_decay_rate(diam_series, h: float, window: tuple[int, int],
     t = np.arange(lo, hi) * h
     y = np.log(seg)
     if float(y.max() - y.min()) == 0.0:
-        return DecayFit(0.0, 0.0, degenerate=True,
-                        bound_lower=bound_lower, bound_upper_rate=bound_upper_rate)
+        return DecayFit(0.0, 0.0, degenerate=True)
     slope, intercept = np.polyfit(t, y, 1)
     fitted = slope * t + intercept
     ss_res = float(((y - fitted) ** 2).sum())
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return DecayFit(float(-slope), float(r2), degenerate=False,
-                    bound_lower=bound_lower, bound_upper_rate=bound_upper_rate)
+    return DecayFit(float(-slope), float(r2))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import copy
+import inspect
 import json
 import math
 import os
@@ -44,11 +45,12 @@ _SPEC_RE = re.compile(r"^\s*([a-zA-Z_-]+)\s*(?:\((.*)\))?\s*$")
 
 
 def _parse_spec(text: str):
-    """Parse ``name(arg, key=val, ...)`` into (name, positional, keyword)."""
+    """Parse ``name(arg, key=val, ...)`` into (name, positional, keyword);
+    ``_`` in the name reads as ``-``."""
     m = _SPEC_RE.match(text)
     if not m:
         raise ConfigError(f"cannot parse spec {text!r}")
-    name = m.group(1).lower()
+    name = m.group(1).lower().replace("_", "-")
     pos, kw = [], {}
     body = m.group(2)
     if body:
@@ -93,9 +95,10 @@ class RunConfig:
         for name, kw in self.certifiers.items():
             if name not in CERTIFIERS:
                 raise ConfigError(f"unknown certifier {name!r}")
-            missing = [k for k in _REQUIRED_OPTIONS.get(name, ()) if k not in kw]
-            if missing:
-                raise ConfigError(f"{name} needs " + " and ".join(f"{k}=..." for k in missing))
+            try:  # the certifier's signature declares its options
+                inspect.signature(CERTIFIERS[name]).bind(None, **kw)
+            except TypeError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
             if "eps" in kw and not 0 < kw["eps"] < math.inf:
                 raise ConfigError(f"{name} option eps must be positive and finite")
 
@@ -187,11 +190,11 @@ def build_initial(cfg: RunConfig) -> PhaseConfig:
             raise ConfigError("explicit init length does not match n")
         theta = np.asarray(pos)
         return PhaseConfig(theta - theta.mean())
-    if name in ("near-sync", "near_sync"):
+    if name == "near-sync":
         return inits.near_sync(cfg.n, kw.get("delta", pos[0] if pos else 0.1))
-    if name in ("near-bipolar", "near_bipolar"):
+    if name == "near-bipolar":
         return inits.near_bipolar(cfg.n, kw.get("delta", pos[0] if pos else 0.05))
-    if name in ("random-arc", "random_arc"):
+    if name == "random-arc":
         return inits.random_arc(cfg.n, kw.get("width", pos[0] if pos else math.pi), rng)
     raise ConfigError(f"unknown init spec {cfg.init!r}")
 
@@ -215,10 +218,10 @@ def build_frequencies(cfg: RunConfig) -> NaturalFrequencies:
 # certifiers
 # ---------------------------------------------------------------------------
 
-def _need_bipolar_state(traj: Trajectory, kw):
-    eq = analysis.match_equilibrium(traj.final_config(), tol=kw.get("tol", 0.05))
+def _need_bipolar_state(traj: Trajectory, tol: float):
+    eq = analysis.match_equilibrium(traj.final_config(), tol=tol)
     if eq is None or eq.kind != "bipolar":
-        return None
+        raise ValueError("no bipolar state matched")
     return eq
 
 
@@ -228,99 +231,77 @@ def _default_alpha(n, k, eps):
     return k * ((n - 1) * math.sin(eps) / eps - 1.0) / (2.0 * n)
 
 
-def _cert_order_preservation(traj, kw):
-    subset = range(traj.n)
-    check = analysis.check_order_preservation(traj, subset)
+# Each certifier's keyword parameters are its config options: one without a
+# default is required, and a None default is derived from the run.  A
+# ValueError raised on the trajectory becomes a failed verdict (see _verdict).
+
+def _cert_order_preservation(traj):
+    check = analysis.check_order_preservation(traj, range(traj.n))
     return {"passed": check.passed, "first_violation": check.first_violation}
 
 
-def _cert_diameter_decay(traj, kw):
-    eps = kw.get("eps", 0.3)
-    k = traj.params.coupling
-    rate = kw.get("rate", k * math.sin(eps) / (2.0 * eps))
-    try:
-        cert = analysis.certify_diameter_decay(traj, range(traj.n), eps, rate,
-                                               floor=kw.get("floor", 0.0))
-    except ValueError as exc:
-        return {"passed": False, "reason": str(exc), "rate": rate}
+def _cert_diameter_decay(traj, eps=0.3, rate=None, floor=0.0):
+    if rate is None:
+        rate = traj.params.coupling * math.sin(eps) / (2.0 * eps)
+    cert = analysis.certify_diameter_decay(traj, range(traj.n), eps, rate, floor=floor)
     return {"passed": cert.passed, "rate": rate,
             "first_violation": cert.first_violation}
 
 
-def _cert_two_sided_decay(traj, kw):
-    eq = _need_bipolar_state(traj, kw)
-    if eq is None:
-        return {"passed": False, "reason": "no bipolar state matched"}
-    n, k = traj.n, traj.params.coupling
-    eps = kw.get("eps", 0.3)
-    alpha = kw.get("alpha", _default_alpha(n, k, eps))
-    subset = [i for i in range(n) if i != eq.bipolar_index]
-    cert = analysis.certify_two_sided_decay(traj, subset, k, alpha,
-                                            floor=kw.get("floor", 1e-13))
+def _cert_two_sided_decay(traj, eps=0.3, alpha=None, floor=1e-13, tol=0.05):
+    eq = _need_bipolar_state(traj, tol)
+    k = traj.params.coupling
+    if alpha is None:
+        alpha = _default_alpha(traj.n, k, eps)
+    subset = [i for i in range(traj.n) if i != eq.bipolar_index]
+    cert = analysis.certify_two_sided_decay(traj, subset, k, alpha, floor=floor)
     return {"passed": cert.passed, "alpha": alpha, "side": cert.failed_side,
             "first_violation": cert.first_violation}
 
 
-def _cert_bipolar_containment(traj, kw):
-    eq = _need_bipolar_state(traj, kw)
-    if eq is None:
-        return {"passed": False, "reason": "no bipolar state matched"}
-    rep = analysis.check_bipolar_containment(traj, eq)
+def _cert_bipolar_containment(traj, tol=0.05):
+    rep = analysis.check_bipolar_containment(traj, _need_bipolar_state(traj, tol))
     return {"passed": rep.all_contained, "first_exit": rep.first_exit,
             "exit_side": rep.exit_side}
 
 
-def _cert_bipolar_bounds(traj, kw):
-    eq = _need_bipolar_state(traj, kw)
-    if eq is None:
-        return {"passed": False, "reason": "no bipolar state matched"}
-    n, k = traj.n, traj.params.coupling
-    eps = kw.get("eps", 0.3)
-    alpha = kw.get("alpha", _default_alpha(n, k, eps))
-    try:
-        cert = analysis.certify_bipolar_bounds(traj, eq, alpha, eps)
-    except ValueError as exc:
-        return {"passed": False, "reason": str(exc)}
+def _cert_bipolar_bounds(traj, eps=0.3, alpha=None, tol=0.05):
+    eq = _need_bipolar_state(traj, tol)
+    if alpha is None:
+        alpha = _default_alpha(traj.n, traj.params.coupling, eps)
+    cert = analysis.certify_bipolar_bounds(traj, eq, alpha, eps)
     return {"passed": cert.passed, "alpha": alpha, "which": cert.which,
             "first_violation": cert.first_violation}
 
 
-def _cert_cluster_invariance(traj, kw):
-    spec = analysis.cluster_spec(traj.n, kw["n0"], kw["l"],
-                                 traj.freqs.d_omega, traj.params.coupling)
-    try:
-        cert = analysis.certify_cluster_invariance(traj, spec)
-    except ValueError as exc:
-        return {"passed": False, "reason": str(exc), "k_min": spec.k_min,
-                "step_max": spec.step_max}
+def _cert_cluster_invariance(traj, n0, l):
+    spec = analysis.cluster_spec(traj.n, n0, l, traj.freqs.d_omega, traj.params.coupling)
+    cert = analysis.certify_cluster_invariance(traj, spec)
     return {"passed": cert.passed, "first_violation": cert.first_violation,
             "k_min": spec.k_min, "step_max": spec.step_max,
             "max_cluster_diameter": float(cert.curve.max())}
 
 
-def _cert_uniform_bound(traj, kw):
-    cert = analysis.certify_uniform_bound(traj, kw["l"])
+def _cert_uniform_bound(traj, l):
+    cert = analysis.certify_uniform_bound(traj, l)
     return {"passed": cert.passed, "first_violation": cert.first_violation,
             "max_diameter": float(cert.curve.max())}
 
 
-def _cert_fit_decay(traj, kw):
-    window = (kw.get("start", 0), kw.get("stop", traj.n_steps + 1))
-    try:
-        fit = analysis.fit_decay_rate(traj.diameters, traj.params.step_size, window)
-    except ValueError as exc:
-        return {"passed": False, "reason": str(exc)}
+def _cert_fit_decay(traj, start=0, stop=None):
+    window = (start, traj.n_steps + 1 if stop is None else stop)
+    fit = analysis.fit_decay_rate(traj.diameters, traj.params.step_size, window)
     return {"passed": True, "alpha_fit": fit.alpha_fit,
             "r_squared": fit.r_squared, "degenerate": fit.degenerate}
 
 
-def _cert_error_bound(traj, kw):
+def _cert_error_bound(traj, lipschitz=None, max_steps=20_000):
     # rebuilds the continuous reference at dt = h/10; cost grows with the run
-    if traj.n_steps > kw.get("max_steps", 20_000):
-        return {"passed": False,
-                "reason": "run too long for the reference integration"}
+    if traj.n_steps > max_steps:
+        raise ValueError("run too long for the reference integration")
     h = traj.params.step_size
-    lipschitz = kw.get("lipschitz", 2.0 * traj.params.coupling)
+    if lipschitz is None:
+        lipschitz = 2.0 * traj.params.coupling
     oracle = rk4_reference(traj.config(0), traj.freqs, traj.params.coupling,
                            t_end=max(traj.n_steps, 1) * h, dt=h / 10.0)
     rep = euler_error_bound(traj, oracle, lipschitz)
@@ -329,10 +310,8 @@ def _cert_error_bound(traj, kw):
             "max_observed_error": float(rep.observed_error.max())}
 
 
-# options read as integers (the rest are floats), and the options a
-# certifier cannot run without, checked before the run
+# options read as integers; the rest are floats
 _INTEGER_OPTIONS = {"n0", "start", "stop", "max_steps"}
-_REQUIRED_OPTIONS = {"cluster_invariance": ("n0", "l"), "uniform_bound": ("l",)}
 
 CERTIFIERS = {
     "order_preservation": _cert_order_preservation,
@@ -345,6 +324,15 @@ CERTIFIERS = {
     "fit_decay": _cert_fit_decay,
     "error_bound": _cert_error_bound,
 }
+
+
+def _verdict(name: str, traj: Trajectory, options: dict) -> dict:
+    """Run one certifier.  A ValueError is a hypothesis the trajectory does
+    not meet: a failed verdict with its reason, not a failed run."""
+    try:
+        return {"name": name, **CERTIFIERS[name](traj, **options)}
+    except ValueError as exc:
+        return {"name": name, "passed": False, "reason": str(exc)}
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +416,7 @@ def _execute_oscillators(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
                        max_steps=cfg.max_steps, conv_tol=cfg.conv_tol)
     traj = simulate(init, freqs, params)
 
-    verdicts = []
-    for name, kw in cfg.certifiers.items():
-        verdict = CERTIFIERS[name](traj, dict(kw))
-        verdicts.append({"name": name, **verdict})
+    verdicts = [_verdict(name, traj, options) for name, options in cfg.certifiers.items()]
 
     eq = None
     if traj.stop_reason == "grad_norm" and freqs.is_identical:
@@ -526,7 +511,7 @@ def _apply_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
             raise ConfigError("axis N needs a parametric init spec")
     elif axis == "delta":
         name, _, _ = _parse_spec(c.init)
-        if name not in ("near-sync", "near_sync", "near-bipolar", "near_bipolar"):
+        if name not in ("near-sync", "near-bipolar"):
             raise ConfigError("axis delta needs a near-sync or near-bipolar init")
         c.init = f"{name}(delta={float(value)})"
     elif axis == "domega":
@@ -687,7 +672,7 @@ def main(argv=None) -> int:
         elif args.command == "classify":
             execute_classify(cfg, out_dir, quiet=args.quiet)
         return 0
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

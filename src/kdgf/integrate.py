@@ -273,7 +273,6 @@ class ErrorBoundReport:
     bound_curve: np.ndarray
     observed_error: np.ndarray
     within_bound: bool
-    max_excursion: float
 
 
 def euler_error_bound(traj: Trajectory, oracle: Rk4Path,
@@ -308,12 +307,10 @@ def euler_error_bound(traj: Trajectory, oracle: Rk4Path,
     bound = (t_max / lipschitz) * np.expm1(lipschitz * steps * h)
     observed = np.abs(ref - traj.phases).max(axis=1)
     within = bool(np.all(observed <= bound * (1 + 1e-6) + 1e-300))
-    excursion = float(np.abs(traj.phases - traj.phases[0]).max())
     return ErrorBoundReport(
         truncation_max=t_max,
         lipschitz=lipschitz,
         bound_curve=bound,
         observed_error=observed,
         within_bound=within,
-        max_excursion=excursion,
     )

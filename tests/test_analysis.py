@@ -1,5 +1,6 @@
 """Tests for classification, equilibrium matching, and the certificates."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -470,7 +471,9 @@ def test_cluster_invariance_precondition_errors():
     init = near_sync(4, 0.1)
     traj = simulate(init, omega, SimParams(0.3, 0.001, max_steps=10),
                     StoppingRule(grad_tol=0.0))
-    with pytest.raises(ValueError, match="coupling not above"):
+    # the message names the values it compared
+    with pytest.raises(ValueError, match=re.escape(
+            f"preconditions unmet: coupling 0.3 not above k_min {spec.k_min!r}")):
         certify_cluster_invariance(traj, spec)
 
 

@@ -249,10 +249,11 @@ def test_sweep_divergent_point_is_a_summary_row(tmp_path, capsys):
     assert lines[2].startswith("1,0.001,6000,max_steps,") and lines[2].endswith(",pass")
 
 
-@pytest.mark.parametrize("options", ["", "l=1.0", "n0=2"])
+@pytest.mark.parametrize("options", ["", "l=1.0", "n0=2", "epz=0.3"])
 def test_missing_certifier_option_exits_2_before_the_run(tmp_path, options):
     # the divergent run would exit 3 if the options were checked after it
-    name = "uniform_bound" if options == "" else "cluster_invariance"
+    name = {"": "uniform_bound", "epz=0.3": "diameter_decay"}.get(
+        options, "cluster_invariance")
     cfg = write_config(tmp_path / "div.ini",
                        DIVERGENT_CFG + f"\n[certifiers]\n{name} = {options}\n")
     assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
@@ -378,3 +379,51 @@ def test_unmet_diameter_decay_hypothesis_is_a_verdict(tmp_path):
     assert "exceeds eps" in verdicts["diameter_decay"]["reason"]
     assert verdicts["order_preservation"]["passed"]
     assert (out / "trajectory.csv").exists()
+
+
+NEAR_BIPOLAR_CFG = """
+[run]
+model = identical
+n = 4
+init = near-bipolar(0.05)
+omega = zero
+coupling = 1.0
+step = 0.01
+max_steps = 3000
+
+[certifiers]
+uniform_bound = l=1.0
+"""
+
+
+@pytest.mark.parametrize("init,certifier,reason", [
+    ("near-bipolar(0.05)", "two_sided_decay = alpha=5.0", "alpha >= 2K"),
+    ("near-bipolar(0.05)", "cluster_invariance = n0=1, l=1.0", "n0 must lie in (N/2, N]"),
+    ("explicit(0, 0, 1, 2)", "order_preservation =", "subset phases are not strictly ordered"),
+    ("near-bipolar(0.05)", "error_bound = lipschitz=0", "lipschitz must be positive"),
+], ids=["alpha-above-2K", "n0-below-half", "unordered-init", "lipschitz-zero"])
+def test_certifier_that_cannot_run_is_a_failed_verdict(tmp_path, init, certifier, reason):
+    text = NEAR_BIPOLAR_CFG.replace("near-bipolar(0.05)", init)
+    cfg = write_config(tmp_path / "run.ini", text + certifier + "\n")
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    intact, failed = report["verdicts"]
+    assert failed["passed"] is False and reason in failed["reason"]
+    assert intact["name"] == "uniform_bound" and intact["passed"]
+    assert intact["first_violation"] is None and intact["max_diameter"] > 0
+    assert (out / "trajectory.csv").exists()
+
+
+def test_sweep_point_whose_certifier_cannot_run_is_a_summary_row(tmp_path):
+    # alpha = 1.5 is below 2K at K = 2 and 1, but not at K = 0.5
+    text = NEAR_BIPOLAR_CFG + "two_sided_decay = alpha=1.5, tol=0.2\n"
+    cfg = write_config(tmp_path / "run.ini", text)
+    out = tmp_path / "sweep"
+    assert main(["sweep", cfg, "--axis", "K", "--values", "2.0,1.0,0.5",
+                 "--out", str(out), "--quiet"]) == 0
+    lines = (out / "summary.csv").read_text().splitlines()
+    assert len(lines) == 4
+    assert lines[3].startswith("2,0.5,") and lines[3].endswith(",pass,fail")
+    report = json.loads((out / "point_002" / "report.json").read_text())
+    assert "alpha >= 2K" in report["verdicts"][1]["reason"]

@@ -1,5 +1,6 @@
 """Config fuzz: whatever an INI or JSON config holds, ``kdgf run`` exits
 0 (ran), 2 (bad input) or 3 (divergence) and never raises."""
+import inspect
 import json
 import math
 import tempfile
@@ -8,7 +9,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdgf.cli import CERTIFIERS, main
+from kdgf.cli import _INTEGER_OPTIONS, CERTIFIERS, main
 
 # Junk any value may be.  Text has no digits, so it never reads as a size.
 JUNK = st.one_of(
@@ -58,14 +59,28 @@ RUN = corrupted(st.fixed_dictionaries(
         "problem": st.sampled_from(["double_well", "quadratic"]),
         "x0": spec(["explicit"], st.floats(-3.0, 3.0)),
     }), RUN_KEYS)
-FLOAT_OPTIONS = ["eps", "rate", "floor", "alpha", "tol", "l", "lipschitz"]
-INTEGER_OPTIONS = ["n0", "start", "stop", "max_steps"]
-OPTIONS = corrupted(st.tuples(
-    st.dictionaries(st.sampled_from(FLOAT_OPTIONS), NUMBER, max_size=2),
-    st.dictionaries(st.sampled_from(INTEGER_OPTIONS), st.integers(-3, 400), max_size=2),
-).map(lambda p: {**p[0], **p[1]}), FLOAT_OPTIONS + INTEGER_OPTIONS)
-CERTS = corrupted(st.dictionaries(st.sampled_from(sorted(CERTIFIERS)), OPTIONS, max_size=3),
-                  sorted(CERTIFIERS))
+
+
+def options(name):
+    """Draws of one certifier's options, taken from its signature: every
+    required option and some optional ones, about one in four with one of
+    them, or a misspelt one, set to junk."""
+    params = list(inspect.signature(CERTIFIERS[name]).parameters.values())[1:]
+
+    def value(p):
+        return st.integers(-3, 400) if p.name in _INTEGER_OPTIONS else NUMBER
+
+    return corrupted(st.fixed_dictionaries(
+        {p.name: value(p) for p in params if p.default is p.empty},
+        optional={p.name: value(p) for p in params if p.default is not p.empty}),
+        [p.name for p in params] + ["epz"])
+
+
+OPTIONS = {name: options(name) for name in CERTIFIERS}
+CERTS = corrupted(
+    st.lists(st.sampled_from(sorted(CERTIFIERS)), unique=True, max_size=3).flatmap(
+        lambda names: st.fixed_dictionaries({name: OPTIONS[name] for name in names})),
+    sorted(CERTIFIERS))
 
 
 def _ini_value(v) -> str:
