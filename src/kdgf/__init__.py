@@ -15,7 +15,6 @@ from .integrate import (
     DivergenceError,
     ErrorBoundReport,
     Rk4Path,
-    StoppingRule,
     Trajectory,
     euler_error_bound,
     euler_step,

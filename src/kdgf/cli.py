@@ -92,6 +92,8 @@ class RunConfig:
                 raise ConfigError("coupling must be given, positive and finite")
             if self.n < 2:
                 raise ConfigError("n must be at least 2")
+        if not 0 <= self.conv_tol < math.inf:
+            raise ConfigError("conv_tol must be nonnegative and finite")
         for name, kw in self.certifiers.items():
             if name not in CERTIFIERS:
                 raise ConfigError(f"unknown certifier {name!r}")
@@ -302,6 +304,8 @@ def _cert_error_bound(traj, lipschitz=None, max_steps=20_000):
     h = traj.params.step_size
     if lipschitz is None:
         lipschitz = 2.0 * traj.params.coupling
+    if not lipschitz > 0:  # known before the reference is built
+        raise ValueError("lipschitz must be positive")
     oracle = rk4_reference(traj.config(0), traj.freqs, traj.params.coupling,
                            t_end=max(traj.n_steps, 1) * h, dt=h / 10.0)
     rep = euler_error_bound(traj, oracle, lipschitz)
@@ -499,13 +503,14 @@ _AXES = ("K", "h", "delta", "domega", "N")
 
 
 def _apply_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
+    """``cfg`` with one axis value applied, checked as a loaded config is."""
     c = copy.deepcopy(cfg)
     if axis == "K":
         c.coupling = float(value)
     elif axis == "h":
         c.step = float(value)
     elif axis == "N":
-        c.n = int(value)
+        c.n = _integer("N", value)
         name, _, _ = _parse_spec(c.init)
         if name == "explicit":
             raise ConfigError("axis N needs a parametric init spec")
@@ -523,6 +528,7 @@ def _apply_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
             raise ConfigError("axis domega needs the nonidentical model")
     else:
         raise ConfigError(f"unknown sweep axis {axis!r} (choose from {_AXES})")
+    c.validate()
     return c
 
 

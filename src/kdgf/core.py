@@ -76,7 +76,11 @@ class NaturalFrequencies:
 
 @dataclass(frozen=True)
 class SimParams:
-    """Fixed-step iteration parameters."""
+    """Fixed-step iteration parameters.
+
+    A run stops once the gradient norm drops below ``conv_tol``, or at
+    ``max_steps``; ``conv_tol = 0`` runs to the cap.
+    """
 
     coupling: float
     step_size: float
@@ -90,8 +94,8 @@ class SimParams:
             raise ValueError("step_size must be positive and finite")
         if self.max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
-        if not 0 < self.conv_tol < math.inf:
-            raise ValueError("conv_tol must be positive and finite")
+        if not 0 <= self.conv_tol < math.inf:
+            raise ValueError("conv_tol must be nonnegative and finite")
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,6 @@ class DescentResult:
     grad_norms: np.ndarray
     final_point: np.ndarray
     converged: bool
-    descent_certified: bool
     h_admissible: bool
     stop_reason: str
     problem: DescentProblem
@@ -104,26 +103,6 @@ class DescentCertificate:
     passed: bool
     min_slack: float
     first_violation: int | None
-
-
-def _check_descent(f_values, grad_norms, h, c) -> DescentCertificate:
-    """The check behind :func:`certify_descent` and
-    ``DescentResult.descent_certified``.
-
-    The slack is allowed-minus-actual drop; a NaN slack fails.  Above the
-    step guard the allowed term flips sign and would certify anything, so the
-    cap at zero keeps the certificate an actual monotone-decrease statement.
-    """
-    allowed = np.minimum(-h * (1.0 - c * h / 2.0) * grad_norms[:-1] ** 2, 0.0)
-    slacks = allowed - np.diff(f_values)
-    if slacks.size == 0:
-        return DescentCertificate(True, 0.0, None)
-    bad = np.nonzero(~(slacks >= -1e-10 * (1.0 + np.abs(f_values[:-1]))))[0]
-    return DescentCertificate(
-        passed=bad.size == 0,
-        min_slack=float(slacks.min()),
-        first_violation=int(bad[0]) if bad.size else None,
-    )
 
 
 def run_descent(problem: DescentProblem, x0, h: float, max_steps: int = 1_000_000,
@@ -172,16 +151,12 @@ def run_descent(problem: DescentProblem, x0, h: float, max_steps: int = 1_000_00
             path.append(x.copy())
         n += 1
 
-    f_arr = np.asarray(f_vals)
-    g_arr = np.asarray(g_norms)
-    c = problem.hessian_bound
     return DescentResult(
-        f_values=f_arr,
-        grad_norms=g_arr,
+        f_values=np.asarray(f_vals),
+        grad_norms=np.asarray(g_norms),
         final_point=x,
         converged=converged,
-        descent_certified=_check_descent(f_arr, g_arr, h, c).passed,
-        h_admissible=bool(h < 2.0 / c),
+        h_admissible=bool(h < 2.0 / problem.hessian_bound),
         stop_reason=reason,
         problem=problem,
         h=h,
@@ -191,12 +166,27 @@ def run_descent(problem: DescentProblem, x0, h: float, max_steps: int = 1_000_00
 
 def certify_descent(problem: DescentProblem, result: DescentResult,
                     h: float) -> DescentCertificate:
-    """Re-check f(x(n+1)) - f(x(n)) <= -h (1 - C h / 2) |grad f(x(n))|^2 at
-    every recorded step, with tolerance 1e-10 * (1 + |f|)."""
+    """Check f(x(n+1)) - f(x(n)) <= -h (1 - C h / 2) |grad f(x(n))|^2 at
+    every recorded step, with tolerance 1e-10 * (1 + |f|).
+
+    The slack is allowed-minus-actual drop; a NaN slack fails.  Above the
+    step guard the allowed term flips sign and would certify anything, so the
+    cap at zero keeps the certificate an actual monotone-decrease statement.
+    """
     if result.problem is not problem or result.h != h:
         raise ValueError("result was not produced by this problem and step size")
-    return _check_descent(result.f_values, result.grad_norms, h,
-                          problem.hessian_bound)
+    f_values, c = result.f_values, problem.hessian_bound
+    allowed = np.minimum(-h * (1.0 - c * h / 2.0) * result.grad_norms[:-1] ** 2,
+                         0.0)
+    slacks = allowed - np.diff(f_values)
+    if slacks.size == 0:
+        return DescentCertificate(True, 0.0, None)
+    bad = np.nonzero(~(slacks >= -1e-10 * (1.0 + np.abs(f_values[:-1]))))[0]
+    return DescentCertificate(
+        passed=bad.size == 0,
+        min_slack=float(slacks.min()),
+        first_violation=int(bad[0]) if bad.size else None,
+    )
 
 
 @dataclass(frozen=True)

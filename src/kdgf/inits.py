@@ -6,15 +6,15 @@ import math
 
 import numpy as np
 
-from .core import NaturalFrequencies, PhaseConfig
+from .core import NaturalFrequencies, PhaseConfig, mean_field
 
 
 def near_sync(n: int, delta: float) -> PhaseConfig:
     """Strictly increasing zero-mean phases spanning exactly 2*delta."""
     if n < 2:
         raise ValueError("need at least two oscillators")
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     return PhaseConfig(np.linspace(-delta, delta, n))
 
 
@@ -23,8 +23,8 @@ def near_bipolar(n: int, delta: float) -> PhaseConfig:
     turn away at (N-1)pi/N; zero mean by construction."""
     if n < 3:
         raise ValueError("need at least three oscillators")
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     phases = np.empty(n)
     phases[: n - 1] = -math.pi / n + np.linspace(-delta, delta, n - 1)
     phases[n - 1] = (n - 1) * math.pi / n
@@ -46,7 +46,7 @@ def random_arc(n: int, width: float, rng: np.random.Generator) -> PhaseConfig:
         theta -= theta.mean()
         if np.unique(theta).size < n:
             continue
-        if abs(np.exp(1j * theta).mean()) < 1e-9:
+        if abs(mean_field(theta) / n) < 1e-9:
             continue
         return PhaseConfig(theta)
     raise RuntimeError("could not draw an admissible configuration")
@@ -55,8 +55,8 @@ def random_arc(n: int, width: float, rng: np.random.Generator) -> PhaseConfig:
 def uniform_frequencies(n: int, spread: float,
                         rng: np.random.Generator) -> NaturalFrequencies:
     """Zero-mean frequencies with exact max-min spread."""
-    if spread < 0:
-        raise ValueError("spread must be nonnegative")
+    if not 0 <= spread < math.inf:
+        raise ValueError("spread must be nonnegative and finite")
     if spread == 0:
         return NaturalFrequencies.zero(n)
     w = rng.uniform(-1.0, 1.0, n)

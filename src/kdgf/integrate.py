@@ -4,7 +4,7 @@ classical global-error bound relating the two."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,19 +29,6 @@ class DivergenceError(RuntimeError):
     def __init__(self, step: int):
         super().__init__(f"divergence: |theta| exceeded {DIVERGENCE_LIMIT:g} at step {step}")
         self.step = step
-
-
-@dataclass(frozen=True)
-class StoppingRule:
-    """Which conditions end a run besides the max_steps cap.
-
-    grad_tol: stop once the gradient norm drops below this (None uses
-        params.conv_tol, 0 disables).
-    diameter_tol: stop once the full phase diameter drops below this.
-    """
-
-    grad_tol: float | None = None
-    diameter_tol: float | None = None
 
 
 @dataclass
@@ -97,10 +84,11 @@ def euler_step(config: PhaseConfig, freqs: NaturalFrequencies,
 
 
 def _diagnostic_series(phases, omega, coupling):
-    """Potential, order_r and order_phi of every row, all from one mean field
-    Z per row.  Rows go in chunks of about 2**18 phases so the complex
-    workspace stays bounded on long runs."""
+    """Diameter, potential, order_r and order_phi of every row; the last
+    three from one mean field Z per row.  Rows go in chunks of about 2**18
+    phases so the complex workspace stays bounded on long runs."""
     m, n = phases.shape
+    diameters = phases.max(axis=1) - phases.min(axis=1)
     potentials = np.empty(m)
     order_r = np.empty(m)
     order_phi = np.empty(m)
@@ -113,58 +101,45 @@ def _diagnostic_series(phases, omega, coupling):
         order_phi[rows] = np.angle(z)
     order_r /= n
     np.minimum(order_r, 1.0, out=order_r)
-    return potentials, order_r, order_phi
+    return diameters, potentials, order_r, order_phi
 
 
-def simulate(init: PhaseConfig, freqs: NaturalFrequencies, params: SimParams,
-             stop: StoppingRule | None = None) -> Trajectory:
-    """Iterate the Euler scheme until a stopping rule fires.
-
-    Stops at the first of: gradient norm below tolerance ("grad_norm"),
-    full diameter below tolerance ("diameter"), or the step cap
-    ("max_steps").  Raises DivergenceError if any phase magnitude passes
-    the 1e6 guard.
+def simulate(init: PhaseConfig, freqs: NaturalFrequencies,
+             params: SimParams) -> Trajectory:
+    """Iterate the Euler scheme until the gradient norm drops below
+    ``params.conv_tol`` ("grad_norm") or the step cap is reached
+    ("max_steps"); conv_tol = 0 runs to the cap.  Raises DivergenceError if
+    any phase magnitude passes the 1e6 guard.
     """
     if init.n != freqs.omega.size:
         raise ValueError("length mismatch between phases and frequencies")
-    if stop is None:
-        stop = StoppingRule()
-    grad_tol = params.conv_tol if stop.grad_tol is None else stop.grad_tol
-    diam_tol = stop.diameter_tol
-
     n = init.n
     omega = freqs.omega
     kk = params.coupling
     h = params.step_size
     max_steps = params.max_steps
+    grad_tol = params.conv_tol
 
     cap = min(max_steps + 1, 4096)
     buf = np.empty((cap, n))
     buf[0] = init.phases
-    diam = np.empty(cap)
     gnorm = np.empty(cap)
 
     vel = np.empty(n)
     step_vec = np.empty(n)
 
-    reason = "max_steps"
     m = 0  # index of the last filled row
     while True:
         theta = buf[m]
-        hi = float(theta.max())
-        lo = float(theta.min())
-        if m > 0 and (hi > DIVERGENCE_LIMIT or lo < -DIVERGENCE_LIMIT):
+        if m > 0 and (float(theta.max()) > DIVERGENCE_LIMIT
+                      or float(theta.min()) < -DIVERGENCE_LIMIT):
             raise DivergenceError(m)
         velocity_arrays(theta, omega, kk, out=vel)
         gn = math.sqrt(float(vel @ vel))
         gnorm[m] = gn
-        diam[m] = hi - lo
 
-        if grad_tol > 0.0 and gn < grad_tol:
+        if gn < grad_tol:
             reason = "grad_norm"
-            break
-        if diam_tol is not None and diam[m] < diam_tol:
-            reason = "diameter"
             break
         if m >= max_steps:
             reason = "max_steps"
@@ -173,7 +148,6 @@ def simulate(init: PhaseConfig, freqs: NaturalFrequencies, params: SimParams,
         if m + 1 >= cap:
             cap = min(max_steps + 1, cap * 4)
             buf = np.concatenate([buf, np.empty((cap - buf.shape[0], n))])
-            diam = np.concatenate([diam, np.empty(cap - diam.shape[0])])
             gnorm = np.concatenate([gnorm, np.empty(cap - gnorm.shape[0])])
         np.multiply(vel, h, out=step_vec)
         np.add(theta, step_vec, out=buf[m + 1])
@@ -181,12 +155,12 @@ def simulate(init: PhaseConfig, freqs: NaturalFrequencies, params: SimParams,
 
     phases = buf[: m + 1].copy()
     phases.setflags(write=False)
-    potentials, order_r, order_phi = _diagnostic_series(phases, omega, kk)
+    diameters, potentials, order_r, order_phi = _diagnostic_series(phases, omega, kk)
     return Trajectory(
         phases=phases,
         params=params,
         freqs=freqs,
-        diameters=diam[: m + 1].copy(),
+        diameters=diameters,
         potentials=potentials,
         grad_norms=gnorm[: m + 1].copy(),
         order_r=order_r,
@@ -217,8 +191,6 @@ class Rk4Path:
     knots: np.ndarray
     dt: float
     t_end: float
-    freqs: NaturalFrequencies
-    coupling: float
 
     def __call__(self, t: float) -> np.ndarray:
         if t < -1e-12 or t > self.t_end * (1 + 1e-12) + 1e-12:
@@ -227,9 +199,6 @@ class Rk4Path:
         i = min(int(x), self.knots.shape[0] - 2)
         w = x - i
         return (1.0 - w) * self.knots[i] + w * self.knots[i + 1]
-
-    def config(self, t: float) -> PhaseConfig:
-        return PhaseConfig(self(t))
 
 
 def rk4_reference(init: PhaseConfig, freqs: NaturalFrequencies, coupling: float,
@@ -255,8 +224,7 @@ def rk4_reference(init: PhaseConfig, freqs: NaturalFrequencies, coupling: float,
             raise ValueError(f"non-finite reference state at knot {i + 1}")
         knots[i + 1] = y
     knots.setflags(write=False)
-    return Rk4Path(knots=knots, dt=dt_eff, t_end=t_end, freqs=freqs,
-                   coupling=coupling)
+    return Rk4Path(knots=knots, dt=dt_eff, t_end=t_end)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +237,6 @@ class ErrorBoundReport:
     reference, with the one-step-defect global error envelope."""
 
     truncation_max: float
-    lipschitz: float
     bound_curve: np.ndarray
     observed_error: np.ndarray
     within_bound: bool
@@ -309,7 +276,6 @@ def euler_error_bound(traj: Trajectory, oracle: Rk4Path,
     within = bool(np.all(observed <= bound * (1 + 1e-6) + 1e-300))
     return ErrorBoundReport(
         truncation_max=t_max,
-        lipschitz=lipschitz,
         bound_curve=bound,
         observed_error=observed,
         within_bound=within,

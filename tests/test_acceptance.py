@@ -14,7 +14,6 @@ from kdgf import (
     NaturalFrequencies,
     PhaseConfig,
     SimParams,
-    StoppingRule,
     certify_bipolar_bounds,
     certify_cluster_invariance,
     certify_descent,
@@ -144,8 +143,7 @@ def test_a04_euler_global_error():
     max_errors = []
     for h in (0.02, 0.01, 0.005):
         steps = int(round(t_end / h))
-        traj = simulate(init, freqs, SimParams(k, h, max_steps=steps),
-                        StoppingRule(grad_tol=0.0))
+        traj = simulate(init, freqs, SimParams(k, h, max_steps=steps, conv_tol=0.0))
         oracle = rk4_reference(init, freqs, k, t_end, dt=h / 10)
         rep = euler_error_bound(traj, oracle, lipschitz=2.0 * k)
         assert rep.within_bound, f"bound violated for h={h}"
@@ -194,8 +192,7 @@ def bipolar_run():
     init = near_bipolar(3, delta)
     cls = classify_initial(init, k)
     traj = simulate(init, NaturalFrequencies.zero(3),
-                    SimParams(k, h, max_steps=100_000),
-                    StoppingRule(grad_tol=0.0))
+                    SimParams(k, h, max_steps=100_000, conv_tol=0.0))
     return k, traj, cls
 
 
@@ -280,8 +277,7 @@ def cluster_setup():
 
 def test_a09_cluster_invariance_and_uniform_bound(cluster_setup):
     l, omega, spec, k, h, init = cluster_setup
-    traj = simulate(init, omega, SimParams(k, h, max_steps=1_000_000),
-                    StoppingRule(grad_tol=0.0))
+    traj = simulate(init, omega, SimParams(k, h, max_steps=1_000_000, conv_tol=0.0))
     assert traj.n_steps == 1_000_000
     cert = certify_cluster_invariance(traj, spec)
     assert cert.passed, f"cluster left l at step {cert.first_violation}"

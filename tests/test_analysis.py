@@ -10,7 +10,6 @@ from kdgf import (
     NaturalFrequencies,
     PhaseConfig,
     SimParams,
-    StoppingRule,
     certify_bipolar_bounds,
     certify_cluster_invariance,
     certify_diameter_decay,
@@ -30,11 +29,10 @@ from kdgf import (
 from kdgf.inits import near_bipolar, near_sync
 
 
-def run_identical(init, k=1.0, h=0.01, steps=10_000, grad_tol=None):
+def run_identical(init, k=1.0, h=0.01, steps=10_000, conv_tol=1e-10):
     n = init.n
-    p = SimParams(coupling=k, step_size=h, max_steps=steps)
-    stop = StoppingRule() if grad_tol is None else StoppingRule(grad_tol=grad_tol)
-    return simulate(init, NaturalFrequencies.zero(n), p, stop)
+    p = SimParams(coupling=k, step_size=h, max_steps=steps, conv_tol=conv_tol)
+    return simulate(init, NaturalFrequencies.zero(n), p)
 
 
 def synthetic_trajectory(rows, h=0.01, k=1.0):
@@ -305,7 +303,7 @@ def test_decay_certificate_precondition():
 def test_two_sided_envelope_near_bipolar():
     k, eps = 1.0, 0.2
     traj = run_identical(near_bipolar(3, 0.05), k=k, h=0.005, steps=2_000,
-                         grad_tol=0.0)
+                         conv_tol=0.0)
     alpha = k * (2 * math.sin(eps) / eps - 1) / 6
     cert = certify_two_sided_decay(traj, [0, 1], k, alpha)
     assert cert.passed
@@ -313,7 +311,7 @@ def test_two_sided_envelope_near_bipolar():
 
 def test_two_sided_rejects_contradictory_alpha():
     traj = run_identical(near_bipolar(3, 0.05), k=1.0, h=0.005, steps=10,
-                         grad_tol=0.0)
+                         conv_tol=0.0)
     with pytest.raises(ValueError, match="alpha"):
         certify_two_sided_decay(traj, [0, 1], 1.0, alpha=2.5)
 
@@ -349,7 +347,7 @@ def test_containment_detects_constructed_exit():
 def test_containment_near_bipolar_run():
     k = 0.5
     traj = run_identical(near_bipolar(4, 0.05), k=k, h=0.005, steps=3_000,
-                         grad_tol=0.0)
+                         conv_tol=0.0)
     cls = classify_initial(near_bipolar(4, 0.05), k)
     rep = check_bipolar_containment(traj, cls.equilibrium)
     assert rep.all_contained
@@ -358,7 +356,7 @@ def test_containment_near_bipolar_run():
 def test_bipolar_bounds_near_run_and_rate_cap():
     k, eps = 0.5, 0.3
     init = near_bipolar(4, 0.05)
-    traj = run_identical(init, k=k, h=0.005, steps=3_000, grad_tol=0.0)
+    traj = run_identical(init, k=k, h=0.005, steps=3_000, conv_tol=0.0)
     eq = classify_initial(init, k).equilibrium
     alpha = k * (3 * math.sin(eps) / eps - 1) / 8
     cert = certify_bipolar_bounds(traj, eq, alpha, eps)
@@ -443,8 +441,7 @@ def test_cluster_invariance_identical_trivial():
     init = near_sync(4, 0.05)
     f = NaturalFrequencies([-0.005, -0.001, 0.002, 0.004])
     spec = cluster_spec(4, 3, math.pi / 3, f.d_omega, coupling=1.0)
-    traj = simulate(init, f, SimParams(1.0, 0.001, max_steps=2_000),
-                    StoppingRule(grad_tol=0.0))
+    traj = simulate(init, f, SimParams(1.0, 0.001, max_steps=2_000, conv_tol=0.0))
     cert = certify_cluster_invariance(traj, spec)
     assert cert.passed
 
@@ -458,8 +455,7 @@ def test_cluster_invariance_with_offset_outsider():
     h = min(spec.step_max, 0.002) / 2
     cluster = -math.pi / 2 + np.array([-0.45 * l, 0.0, 0.45 * l])
     init = PhaseConfig(np.append(cluster, -math.pi / 2 + 2 * math.pi))
-    traj = simulate(init, omega, SimParams(k, h, max_steps=20_000),
-                    StoppingRule(grad_tol=0.0))
+    traj = simulate(init, omega, SimParams(k, h, max_steps=20_000, conv_tol=0.0))
     cert = certify_cluster_invariance(traj, spec)
     assert cert.passed
     assert certify_uniform_bound(traj, l).passed
@@ -469,8 +465,7 @@ def test_cluster_invariance_precondition_errors():
     omega = NaturalFrequencies([-0.1, -0.02, 0.02, 0.1])
     spec = cluster_spec(4, 3, math.pi / 3, omega.d_omega, coupling=1.1)
     init = near_sync(4, 0.1)
-    traj = simulate(init, omega, SimParams(0.3, 0.001, max_steps=10),
-                    StoppingRule(grad_tol=0.0))
+    traj = simulate(init, omega, SimParams(0.3, 0.001, max_steps=10, conv_tol=0.0))
     # the message names the values it compared
     with pytest.raises(ValueError, match=re.escape(
             f"preconditions unmet: coupling 0.3 not above k_min {spec.k_min!r}")):
@@ -501,7 +496,7 @@ def test_fit_two_oscillator_linearized_rate():
     # gap map d -> d - K h sin d has per-step rate -log(1 - K h)/h as d -> 0
     k, h = 1.0, 0.01
     traj = run_identical(PhaseConfig([-0.01, 0.01]), k=k, h=h, steps=2_000,
-                         grad_tol=0.0)
+                         conv_tol=0.0)
     fit = fit_decay_rate(traj.diameters, h, (0, 2_000))
     expected = -math.log(1 - k * h) / h
     assert fit.alpha_fit == pytest.approx(expected, rel=1e-3)
@@ -512,7 +507,7 @@ def test_fit_rate_sandwich_for_locked_group():
     # rate inside [alpha, 2K], the two-sided envelope rates
     k, h, eps = 1.0, 0.005, 0.3
     traj = run_identical(near_bipolar(3, 0.05), k=k, h=h, steps=3_000,
-                         grad_tol=0.0)
+                         conv_tol=0.0)
     pair_diam = traj.phases[:, 1] - traj.phases[:, 0]
     fit = fit_decay_rate(pair_diam, h, (0, 3_000))
     alpha = k * (2 * math.sin(eps) / eps - 1) / 6

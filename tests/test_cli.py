@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from kdgf import NaturalFrequencies, SimParams, Trajectory
+from kdgf import NaturalFrequencies, SimParams, Trajectory, cli
 from kdgf.cli import main, write_trajectory_csv, write_trajectory_json
 
 
@@ -261,6 +261,7 @@ def test_missing_certifier_option_exits_2_before_the_run(tmp_path, options):
 
 GOOD_RUN = {"model": "identical", "n": 3, "coupling": 1.0, "step": 0.01,
             "max_steps": 200}
+MODELS = ("identical", "nonidentical", "generic_dgf")
 
 
 @pytest.mark.parametrize("data", [
@@ -275,9 +276,12 @@ GOOD_RUN = {"model": "identical", "n": 3, "coupling": 1.0, "step": 0.01,
     {"run": GOOD_RUN, "certifiers": {"uniform_bound": "l=1"}},
     {"run": GOOD_RUN, "certifiers": {"fit_decay": {"start": 0.5}}},
     {"run": GOOD_RUN, "certifiers": {"error_bound": {"max_steps": -math.inf}}},
+    *({"run": {**GOOD_RUN, "model": model, "conv_tol": tol}}
+      for model in MODELS for tol in (-1, math.nan)),
 ], ids=["seed-list", "top-level-list", "certifiers-list", "run-list", "n-inf",
         "n-nan", "n-fraction", "max-steps-dict", "options-string",
-        "start-fraction", "max-steps-minus-inf"])
+        "start-fraction", "max-steps-minus-inf",
+        *(f"conv-tol-{tol}-{model}" for model in MODELS for tol in ("minus-one", "nan"))])
 def test_malformed_json_config_exits_2(tmp_path, data):
     cfg = write_config(tmp_path / "bad.json", json.dumps(data))
     assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
@@ -415,6 +419,20 @@ def test_certifier_that_cannot_run_is_a_failed_verdict(tmp_path, init, certifier
     assert (out / "trajectory.csv").exists()
 
 
+def test_error_bound_with_zero_lipschitz_builds_no_reference(tmp_path, monkeypatch):
+    def no_reference(*args, **kwargs):
+        raise AssertionError("the verdict is known before the reference")
+
+    monkeypatch.setattr(cli, "rk4_reference", no_reference)
+    cfg = write_config(tmp_path / "run.ini",
+                       NEAR_BIPOLAR_CFG + "error_bound = lipschitz=0\n")
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
+    verdict = json.loads((out / "report.json").read_text())["verdicts"][1]
+    assert verdict == {"name": "error_bound", "passed": False,
+                       "reason": "lipschitz must be positive"}
+
+
 def test_sweep_point_whose_certifier_cannot_run_is_a_summary_row(tmp_path):
     # alpha = 1.5 is below 2K at K = 2 and 1, but not at K = 0.5
     text = NEAR_BIPOLAR_CFG + "two_sided_decay = alpha=1.5, tol=0.2\n"
@@ -427,3 +445,15 @@ def test_sweep_point_whose_certifier_cannot_run_is_a_summary_row(tmp_path):
     assert lines[3].startswith("2,0.5,") and lines[3].endswith(",pass,fail")
     report = json.loads((out / "point_002" / "report.json").read_text())
     assert "alpha >= 2K" in report["verdicts"][1]["reason"]
+
+
+@pytest.mark.parametrize("axis,values", [
+    ("K", "1.0,-1.0"), ("h", "0.04,0"), ("N", "8,1"), ("N", "8,2.5"),
+], ids=["K-negative", "h-zero", "N-one", "N-fraction"])
+def test_sweep_checks_every_point_before_running_any(tmp_path, axis, values):
+    cfg = write_config(tmp_path / "run.ini", IDENTICAL_CFG)
+    out = tmp_path / "sweep"
+    assert main(["sweep", cfg, "--axis", axis, "--values", values,
+                 "--out", str(out), "--quiet"]) == 2
+    assert not (out / "point_000").exists()
+    assert not (out / "summary.csv").exists()

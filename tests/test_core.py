@@ -72,7 +72,7 @@ def test_sim_params_validation():
     with pytest.raises(ValueError):
         SimParams(coupling=1.0, step_size=-0.1)
     with pytest.raises(ValueError):
-        SimParams(coupling=1.0, step_size=0.1, conv_tol=0.0)
+        SimParams(coupling=1.0, step_size=0.1, conv_tol=-1e-12)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             SimParams(coupling=bad, step_size=0.1)
@@ -80,6 +80,17 @@ def test_sim_params_validation():
             SimParams(coupling=1.0, step_size=bad)
         with pytest.raises(ValueError, match="finite"):
             SimParams(coupling=1.0, step_size=0.1, conv_tol=bad)
+
+
+@pytest.mark.parametrize("build", [
+    lambda w: inits.near_sync(4, w),
+    lambda w: inits.near_bipolar(4, w),
+    lambda w: inits.uniform_frequencies(4, w, np.random.default_rng(0)),
+], ids=["near_sync", "near_bipolar", "uniform_frequencies"])
+@pytest.mark.parametrize("width", [math.inf, math.nan])
+def test_init_builders_reject_non_finite_widths(build, width):
+    with pytest.raises(ValueError, match="finite"):
+        build(width)
 
 
 # ---------------------------------------------------------------------------

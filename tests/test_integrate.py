@@ -9,7 +9,6 @@ from kdgf import (
     NaturalFrequencies,
     PhaseConfig,
     SimParams,
-    StoppingRule,
     euler_error_bound,
     euler_step,
     inits,
@@ -96,8 +95,8 @@ def test_simulate_fixed_point_stops_immediately():
 def test_simulate_replay_invariant():
     init = PhaseConfig([-0.4, 0.1, 0.3])
     f = NaturalFrequencies.zero(3)
-    p = SimParams(1.0, 0.02, max_steps=50)
-    traj = simulate(init, f, p, StoppingRule(grad_tol=0.0))
+    p = SimParams(1.0, 0.02, max_steps=50, conv_tol=0.0)
+    traj = simulate(init, f, p)
     assert traj.n_steps == 50
     for n in range(traj.n_steps):
         replay = euler_step(traj.config(n), f, p)
@@ -112,22 +111,12 @@ def test_simulate_decreasing_diameter_small_config():
     assert np.all(np.diff(d[d > 1e-12]) < 0)
 
 
-def test_simulate_diameter_stop():
-    init = PhaseConfig(np.linspace(-0.1, 0.1, 3))
-    traj = simulate(init, NaturalFrequencies.zero(3),
-                    SimParams(1.0, 0.01, max_steps=10_000),
-                    StoppingRule(grad_tol=0.0, diameter_tol=0.05))
-    assert traj.stop_reason == "diameter"
-    assert traj.diameters[-1] < 0.05
-    assert np.all(traj.diameters[:-1] >= 0.05)
-
-
 def test_simulate_divergence_guard():
     # pure drift with large frequencies walks past the guard
     f = NaturalFrequencies([-200.0, 200.0])
-    p = SimParams(coupling=1e-6, step_size=1.0, max_steps=100_000, conv_tol=1e-300)
+    p = SimParams(coupling=1e-6, step_size=1.0, max_steps=100_000, conv_tol=0.0)
     with pytest.raises(DivergenceError) as exc:
-        simulate(PhaseConfig([-1.0, 1.0]), f, p, StoppingRule(grad_tol=0.0))
+        simulate(PhaseConfig([-1.0, 1.0]), f, p)
     # |theta| = 1 + 200 m first exceeds 1e6 at step m = 5000
     assert exc.value.step == 5000
 
@@ -144,7 +133,7 @@ def test_simulate_deterministic_bytes():
 
 def test_trajectory_diagnostics_lengths():
     traj = simulate(PhaseConfig([-0.4, 0.1, 0.3]), NaturalFrequencies.zero(3),
-                    SimParams(1.0, 0.02, max_steps=25), StoppingRule(grad_tol=0.0))
+                    SimParams(1.0, 0.02, max_steps=25, conv_tol=0.0))
     m = traj.n_steps + 1
     for arr in (traj.diameters, traj.potentials, traj.grad_norms,
                 traj.order_r, traj.order_phi):
@@ -156,8 +145,7 @@ def test_trajectory_diagnostics_match_per_config_functions():
     n, k = 64, 1.0
     init = inits.random_arc(n, 3.0, np.random.default_rng(5))
     f = inits.uniform_frequencies(n, 0.3, np.random.default_rng(6))
-    traj = simulate(init, f, SimParams(k, 0.05, max_steps=300),
-                    StoppingRule(grad_tol=0.0))
+    traj = simulate(init, f, SimParams(k, 0.05, max_steps=300, conv_tol=0.0))
     eps = np.finfo(float).eps
     for i in range(0, traj.n_steps + 1, 13):
         c = traj.config(i)
@@ -228,8 +216,7 @@ def _bound_setup(h, t_end=2.0, k=1.0):
     init = PhaseConfig([-0.8, 0.15, 0.65])
     f = NaturalFrequencies.zero(3)
     steps = int(round(t_end / h))
-    traj = simulate(init, f, SimParams(k, h, max_steps=steps),
-                    StoppingRule(grad_tol=0.0))
+    traj = simulate(init, f, SimParams(k, h, max_steps=steps, conv_tol=0.0))
     oracle = rk4_reference(init, f, k, t_end, dt=h / 10)
     return traj, oracle
 
@@ -241,7 +228,7 @@ def test_error_bound_zero_at_start_and_constant_run():
     assert rep.bound_curve[0] == 0.0
 
     const = simulate(PhaseConfig([0.3, 0.3, 0.3]), NaturalFrequencies.zero(3),
-                     SimParams(1.0, 0.01, max_steps=50), StoppingRule(grad_tol=0.0))
+                     SimParams(1.0, 0.01, max_steps=50, conv_tol=0.0))
     oracle_c = rk4_reference(PhaseConfig([0.3, 0.3, 0.3]),
                              NaturalFrequencies.zero(3), 1.0, 0.5, dt=0.001)
     rep_c = euler_error_bound(const, oracle_c, lipschitz=2.0)
