@@ -459,8 +459,8 @@ def certify_bipolar_bounds(traj: Trajectory, eq: EquilibriumState, alpha: float,
 def coupling_threshold(d_omega: float, d_theta0: float) -> float:
     """Coupling above which a sub-pi initial diameter contracts:
     D(Omega) / sin D(Theta_0)."""
-    if not d_omega > 0:
-        raise ValueError("d_omega must be positive")
+    if not 0 < d_omega < math.inf:
+        raise ValueError("d_omega must be positive and finite")
     if not (0.0 < d_theta0 < math.pi - 1e-9):
         raise ValueError("d_theta0 must lie in (0, pi)")
     return d_omega / math.sin(d_theta0)
@@ -492,13 +492,13 @@ def cluster_spec(n: int, n0: int, l: float, d_omega: float,
         raise ValueError("n must be at least 2")
     if not (n / 2.0 < n0 <= n):
         raise ValueError("n0 must lie in (N/2, N]")
-    if d_omega < 0:
-        raise ValueError("d_omega must be nonnegative")
+    if not 0 <= d_omega < math.inf:
+        raise ValueError("d_omega must be nonnegative and finite")
     l_cap = 2.0 * math.acos((n - n0) / n0)
     if not (0.0 < l < l_cap):
         raise ValueError(f"l must lie in (0, {l_cap:.6g}) for n0={n0}, n={n}")
-    if not coupling > 0:
-        raise ValueError("coupling must be positive")
+    if not 0 < coupling < math.inf:
+        raise ValueError("coupling must be positive and finite")
 
     denom = (n0 / n) * math.sin(l) - (2.0 * (n - n0) / n) * math.sin(l / 2.0)
     if not denom > 0:

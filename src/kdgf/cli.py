@@ -298,16 +298,15 @@ def _cert_fit_decay(traj, start=0, stop=None):
 
 
 def _cert_error_bound(traj, lipschitz=None, max_steps=20_000):
-    # rebuilds the continuous reference at dt = h/10; cost grows with the run
+    # the reference takes 10 RK4 substeps per Euler step; cost grows with the run
     if traj.n_steps > max_steps:
         raise ValueError("run too long for the reference integration")
-    h = traj.params.step_size
     if lipschitz is None:
         lipschitz = 2.0 * traj.params.coupling
     if not lipschitz > 0:  # known before the reference is built
         raise ValueError("lipschitz must be positive")
     oracle = rk4_reference(traj.config(0), traj.freqs, traj.params.coupling,
-                           t_end=max(traj.n_steps, 1) * h, dt=h / 10.0)
+                           traj.params.step_size, traj.n_steps)
     rep = euler_error_bound(traj, oracle, lipschitz)
     return {"passed": rep.within_bound,
             "truncation_max": rep.truncation_max,
@@ -411,11 +410,17 @@ def execute_run(cfg: RunConfig, out_dir: Path, fmt: str = "csv",
     return report
 
 
-def _execute_oscillators(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
+def _oscillator_inputs(cfg: RunConfig):
+    """The initial state and frequencies of an oscillator run."""
     init = build_initial(cfg)
     freqs = build_frequencies(cfg)
     if cfg.model == "identical" and not freqs.is_identical:
         raise ConfigError("identical model requires omega = zero")
+    return init, freqs
+
+
+def _execute_oscillators(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
+    init, freqs = _oscillator_inputs(cfg)
     params = SimParams(coupling=cfg.coupling, step_size=cfg.step,
                        max_steps=cfg.max_steps, conv_tol=cfg.conv_tol)
     traj = simulate(init, freqs, params)
@@ -540,6 +545,8 @@ def execute_sweep(cfg: RunConfig, axis: str, values, out_dir: Path,
     for i, v in enumerate(values):
         c = _apply_axis(cfg, axis, v)
         c.seed = cfg.seed ^ i  # documented per-point seed derivation
+        if c.model != "generic_dgf":
+            _oscillator_inputs(c)  # a bad point fails before any point runs
         points.append((i, v, c))
 
     results, diverged = [], None

@@ -183,48 +183,37 @@ def rk4_step(theta: np.ndarray, omega: np.ndarray, coupling: float,
     return theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Rk4Path:
-    """Dense-output continuous-flow reference: linear interpolation between
-    fixed-step RK4 knots."""
+    """Continuous-flow reference on an Euler grid: row i of ``knots`` is the
+    state at t = i * step_size."""
 
     knots: np.ndarray
-    dt: float
-    t_end: float
-
-    def __call__(self, t: float) -> np.ndarray:
-        if t < -1e-12 or t > self.t_end * (1 + 1e-12) + 1e-12:
-            raise ValueError(f"time {t} outside reference horizon [0, {self.t_end}]")
-        x = min(max(t, 0.0), self.t_end) / self.dt
-        i = min(int(x), self.knots.shape[0] - 2)
-        w = x - i
-        return (1.0 - w) * self.knots[i] + w * self.knots[i + 1]
+    step_size: float
 
 
 def rk4_reference(init: PhaseConfig, freqs: NaturalFrequencies, coupling: float,
-                  t_end: float, dt: float) -> Rk4Path:
-    """Integrate the continuous flow to ``t_end`` with fixed-step RK4.
-
-    The requested ``dt`` is shrunk (never grown) so the horizon is an exact
-    number of steps.  Against a forward-Euler run with step h the reference
-    is only meaningful for dt <= h/10; euler_error_bound enforces that.
+                  h: float, n_steps: int) -> Rk4Path:
+    """Integrate the continuous flow over ``n_steps`` Euler steps of size
+    ``h``, each taken as 10 RK4 substeps of h/10; only the state after each
+    whole step is kept, so the reference holds (n_steps + 1) rows.
     """
     if init.n != freqs.omega.size:
         raise ValueError("length mismatch between phases and frequencies")
-    if not (t_end > 0 and dt > 0):
-        raise ValueError("t_end and dt must be positive")
-    m = max(1, int(math.ceil(t_end / dt - 1e-12)))
-    dt_eff = t_end / m
-    knots = np.empty((m + 1, init.n))
+    if not (h > 0 and n_steps >= 0):
+        raise ValueError("h must be positive and n_steps nonnegative")
+    dt = h / 10.0
+    knots = np.empty((n_steps + 1, init.n))
     knots[0] = init.phases
-    y = init.phases.copy()
-    for i in range(m):
-        y = rk4_step(y, freqs.omega, coupling, dt_eff)
+    y = init.phases
+    for i in range(1, n_steps + 1):
+        for _ in range(10):
+            y = rk4_step(y, freqs.omega, coupling, dt)
         if not np.all(np.isfinite(y)):
-            raise ValueError(f"non-finite reference state at knot {i + 1}")
-        knots[i + 1] = y
+            raise ValueError(f"non-finite reference state at step {i}")
+        knots[i] = y
     knots.setflags(write=False)
-    return Rk4Path(knots=knots, dt=dt_eff, t_end=t_end)
+    return Rk4Path(knots=knots, step_size=h)
 
 
 # ---------------------------------------------------------------------------
@@ -248,27 +237,25 @@ def euler_error_bound(traj: Trajectory, oracle: Rk4Path,
 
     T_max is the largest one-step defect of the reference solution pushed
     through the Euler update; L is the sup-norm Lipschitz constant of the
-    vector field (2K for the oscillator system).
+    vector field (2K for the oscillator system).  ``oracle`` must come from
+    rk4_reference with the run's step size and step count, so its rows are
+    the reference states at the run's own times.
     """
     if not lipschitz > 0:
         raise ValueError("lipschitz must be positive")
     h = traj.params.step_size
     m = traj.n_steps
-    if m * h > oracle.t_end * (1 + 1e-9) + 1e-12:
-        raise ValueError("horizon mismatch: reference does not cover the run")
-    if oracle.dt > h / 10.0 * (1 + 1e-9):
-        raise ValueError("reference resolution too coarse: need dt <= h/10")
-
-    ref = np.empty_like(traj.phases)
-    for i in range(m + 1):
-        ref[i] = oracle(i * h)
+    ref = oracle.knots
+    if ref.shape != traj.phases.shape or oracle.step_size != h:
+        raise ValueError("reference mismatch: the reference must have the run's "
+                         "step size and step count")
 
     # one-step defect of the true solution under the Euler update
     trunc = np.zeros(m + 1)
     for i in range(m):
         f_ref = velocity_arrays(ref[i], traj.freqs.omega, traj.params.coupling)
         trunc[i] = float(np.abs((ref[i + 1] - ref[i]) / h - f_ref).max())
-    t_max = float(trunc.max()) if m > 0 else 0.0
+    t_max = float(trunc.max())
 
     steps = np.arange(m + 1)
     bound = (t_max / lipschitz) * np.expm1(lipschitz * steps * h)

@@ -144,7 +144,7 @@ def test_a04_euler_global_error():
     for h in (0.02, 0.01, 0.005):
         steps = int(round(t_end / h))
         traj = simulate(init, freqs, SimParams(k, h, max_steps=steps, conv_tol=0.0))
-        oracle = rk4_reference(init, freqs, k, t_end, dt=h / 10)
+        oracle = rk4_reference(init, freqs, k, h, steps)
         rep = euler_error_bound(traj, oracle, lipschitz=2.0 * k)
         assert rep.within_bound, f"bound violated for h={h}"
         max_errors.append(float(rep.observed_error.max()))

@@ -413,6 +413,16 @@ def test_coupling_threshold_values():
         coupling_threshold(0.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_thresholds_require_finite_inputs(bad):
+    with pytest.raises(ValueError, match="d_omega must be positive and finite"):
+        coupling_threshold(bad, 1.0)
+    with pytest.raises(ValueError, match="d_omega must be nonnegative and finite"):
+        cluster_spec(4, 3, 1.0, d_omega=bad, coupling=1.0)
+    with pytest.raises(ValueError, match="coupling must be positive and finite"):
+        cluster_spec(4, 3, 1.0, d_omega=0.1, coupling=bad)
+
+
 def test_cluster_spec_formula():
     spec = cluster_spec(4, 3, math.pi / 3, d_omega=1.0, coupling=3.0)
     expected = 1.0 / (0.75 * math.sin(math.pi / 3) - 0.5 * math.sin(math.pi / 6))

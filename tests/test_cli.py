@@ -447,13 +447,44 @@ def test_sweep_point_whose_certifier_cannot_run_is_a_summary_row(tmp_path):
     assert "alpha >= 2K" in report["verdicts"][1]["reason"]
 
 
-@pytest.mark.parametrize("axis,values", [
-    ("K", "1.0,-1.0"), ("h", "0.04,0"), ("N", "8,1"), ("N", "8,2.5"),
-], ids=["K-negative", "h-zero", "N-one", "N-fraction"])
-def test_sweep_checks_every_point_before_running_any(tmp_path, axis, values):
-    cfg = write_config(tmp_path / "run.ini", IDENTICAL_CFG)
+NONIDENTICAL_CFG = IDENTICAL_CFG.replace("model = identical", "model = nonidentical")
+
+
+@pytest.mark.parametrize("text,axis,values", [
+    (IDENTICAL_CFG, "K", "1.0,-1.0"),
+    (IDENTICAL_CFG, "h", "0.04,0"),
+    (IDENTICAL_CFG, "N", "8,1"),
+    (IDENTICAL_CFG, "N", "8,2.5"),
+    (IDENTICAL_CFG, "delta", "0.1,-0.1"),
+    (NONIDENTICAL_CFG.replace("omega = zero", "omega = uniform(0.1)"), "domega", "0.1,-0.1"),
+    (NONIDENTICAL_CFG.replace("omega = zero", "omega = explicit(0.1, 0, -0.1)"), "N", "3,4"),
+], ids=["K-negative", "h-zero", "N-one", "N-fraction", "delta-negative",
+        "domega-negative", "N-explicit-omega"])
+def test_sweep_checks_every_point_before_running_any(tmp_path, text, axis, values):
+    cfg = write_config(tmp_path / "run.ini", text)
     out = tmp_path / "sweep"
     assert main(["sweep", cfg, "--axis", axis, "--values", values,
                  "--out", str(out), "--quiet"]) == 2
-    assert not (out / "point_000").exists()
-    assert not (out / "summary.csv").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--domega", "nan"), ("--domega", "inf"), ("--coupling", "inf"), ("--coupling", "nan"),
+])
+def test_thresholds_reject_non_finite_input(capsys, flag, value):
+    args = {"--n": "4", "--n0": "3", "--l": "1.0", "--domega": "0.2", flag: value}
+    assert main(["thresholds", *[x for kv in args.items() for x in kv]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+
+
+def test_error_bound_on_a_run_of_zero_steps(tmp_path):
+    text = NEAR_BIPOLAR_CFG.replace("max_steps = 3000", "max_steps = 0")
+    cfg = write_config(tmp_path / "run.ini", text + "error_bound =\n")
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["trajectory"]["steps"] == 0
+    verdict = report["verdicts"][1]
+    assert verdict == {"name": "error_bound", "passed": True,
+                       "truncation_max": 0.0, "max_observed_error": 0.0}

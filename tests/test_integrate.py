@@ -16,6 +16,7 @@ from kdgf import (
     kuramoto_potential,
     order_parameter,
     rk4_reference,
+    rk4_step,
     simulate,
 )
 
@@ -174,16 +175,16 @@ def test_simulate_large_n_near_sync_reaches_grad_tol():
 
 def test_rk4_constant_at_equilibrium():
     init = PhaseConfig([0.5, 0.5, 0.5])
-    path = rk4_reference(init, NaturalFrequencies.zero(3), 1.0, t_end=2.0, dt=0.01)
-    np.testing.assert_allclose(path(1.7), init.phases, atol=1e-14)
+    path = rk4_reference(init, NaturalFrequencies.zero(3), 1.0, h=0.1, n_steps=20)
+    np.testing.assert_allclose(path.knots[17], init.phases, atol=1e-14)
 
 
 def test_rk4_two_oscillator_closed_form():
     # the gap d = theta_2 - theta_1 solves tan(d/2) = tan(d0/2) exp(-K t)
     d0, k = 1.0, 1.0
     init = PhaseConfig([-d0 / 2, d0 / 2])
-    path = rk4_reference(init, NaturalFrequencies.zero(2), k, t_end=1.0, dt=1e-3)
-    got = path(1.0)
+    path = rk4_reference(init, NaturalFrequencies.zero(2), k, h=0.01, n_steps=100)
+    got = path.knots[-1]
     d = got[1] - got[0]
     expected = 2 * math.atan(math.tan(d0 / 2) * math.exp(-k * 1.0))
     assert d == pytest.approx(expected, abs=1e-8)
@@ -192,20 +193,27 @@ def test_rk4_two_oscillator_closed_form():
 def test_rk4_order_of_convergence():
     d0, k, t = 1.0, 1.0, 1.0
     init = PhaseConfig([-d0 / 2, d0 / 2])
-    ref = rk4_reference(init, NaturalFrequencies.zero(2), k, t, dt=1e-4)(t)
+    ref = rk4_reference(init, NaturalFrequencies.zero(2), k, h=t / 1000, n_steps=1000).knots[-1]
     errs = []
-    for dt in (0.02, 0.01):
-        got = rk4_reference(init, NaturalFrequencies.zero(2), k, t, dt=dt)(t)
+    for n_steps in (5, 10):  # RK4 substeps of 0.02 and 0.01
+        got = rk4_reference(init, NaturalFrequencies.zero(2), k, h=t / n_steps,
+                            n_steps=n_steps).knots[-1]
         errs.append(np.abs(got - ref).max())
     ratio = errs[0] / errs[1]
     assert 10 < ratio < 25  # 4th order: ~16x per halving
 
 
-def test_rk4_horizon_validation():
-    path = rk4_reference(PhaseConfig([0.1, 0.4]), NaturalFrequencies.zero(2),
-                         1.0, t_end=1.0, dt=0.01)
-    with pytest.raises(ValueError):
-        path(1.5)
+def test_rk4_reference_rows_are_whole_steps_of_ten_substeps():
+    init = PhaseConfig([-0.8, 0.15, 0.65])
+    omega = np.array([0.3, -0.1, -0.2])
+    h, k = 0.05, 1.3
+    path = rk4_reference(init, NaturalFrequencies(omega), k, h=h, n_steps=4)
+    assert path.knots.shape == (5, 3) and path.step_size == h
+    y = init.phases
+    for i in range(5):
+        assert np.array_equal(path.knots[i], y)
+        for _ in range(10):
+            y = rk4_step(y, omega, k, h / 10)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +225,7 @@ def _bound_setup(h, t_end=2.0, k=1.0):
     f = NaturalFrequencies.zero(3)
     steps = int(round(t_end / h))
     traj = simulate(init, f, SimParams(k, h, max_steps=steps, conv_tol=0.0))
-    oracle = rk4_reference(init, f, k, t_end, dt=h / 10)
+    oracle = rk4_reference(init, f, k, h, steps)
     return traj, oracle
 
 
@@ -230,7 +238,7 @@ def test_error_bound_zero_at_start_and_constant_run():
     const = simulate(PhaseConfig([0.3, 0.3, 0.3]), NaturalFrequencies.zero(3),
                      SimParams(1.0, 0.01, max_steps=50, conv_tol=0.0))
     oracle_c = rk4_reference(PhaseConfig([0.3, 0.3, 0.3]),
-                             NaturalFrequencies.zero(3), 1.0, 0.5, dt=0.001)
+                             NaturalFrequencies.zero(3), 1.0, h=0.01, n_steps=50)
     rep_c = euler_error_bound(const, oracle_c, lipschitz=2.0)
     assert rep_c.within_bound
     assert np.all(rep_c.observed_error < 1e-13)
@@ -257,11 +265,9 @@ def test_error_bound_validations():
     traj, oracle = _bound_setup(0.01, t_end=1.0)
     with pytest.raises(ValueError, match="lipschitz"):
         euler_error_bound(traj, oracle, lipschitz=0.0)
-    short = rk4_reference(PhaseConfig([-0.8, 0.15, 0.65]),
-                          NaturalFrequencies.zero(3), 1.0, 0.2, dt=0.001)
-    with pytest.raises(ValueError, match="horizon"):
-        euler_error_bound(traj, short, lipschitz=2.0)
-    coarse = rk4_reference(PhaseConfig([-0.8, 0.15, 0.65]),
-                           NaturalFrequencies.zero(3), 1.0, 1.0, dt=0.005)
-    with pytest.raises(ValueError, match="resolution"):
-        euler_error_bound(traj, coarse, lipschitz=2.0)
+    # a reference for another step count or another step size
+    for h, n_steps in ((0.01, 20), (0.02, 100)):
+        other = rk4_reference(PhaseConfig([-0.8, 0.15, 0.65]),
+                              NaturalFrequencies.zero(3), 1.0, h, n_steps)
+        with pytest.raises(ValueError, match="mismatch"):
+            euler_error_bound(traj, other, lipschitz=2.0)
