@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import copy
+import dataclasses
 import inspect
 import json
 import math
@@ -18,7 +19,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,7 @@ def _parse_spec(text: str):
     if not m:
         raise ConfigError(f"cannot parse spec {text!r}")
     name = m.group(1).lower().replace("_", "-")
-    pos, kw = [], {}
+    pos, kw, key = [], {}, f"an argument of {text!r}"
     body = m.group(2)
     if body:
         for part in body.split(","):
@@ -60,13 +60,21 @@ def _parse_spec(text: str):
                 continue
             if "=" in part:
                 k, v = part.split("=", 1)
-                kw[k.strip()] = float(v)
+                kw[k.strip()] = _number(key, v)
             else:
-                pos.append(float(part))
+                pos.append(_number(key, part))
     return name, pos, kw
 
 
-@dataclass
+def _spec_arg(text: str, pos, kw, key: str, default: float) -> float:
+    """The one argument of a parametric spec, by position or as ``key=``;
+    ``default`` when it has none."""
+    if len(pos) + len(kw) > 1 or set(kw) - {key}:
+        raise ConfigError(f"{text!r} takes at most one argument, {key}")
+    return kw.get(key, pos[0] if pos else default)
+
+
+@dataclasses.dataclass
 class RunConfig:
     model: str
     n: int
@@ -77,7 +85,7 @@ class RunConfig:
     step: float | None = None
     max_steps: int = 1_000_000
     conv_tol: float = 1e-10
-    certifiers: dict = field(default_factory=dict)
+    certifiers: dict = dataclasses.field(default_factory=dict)
     # generic descent extras
     problem: str = "double_well"
     x0: str = "explicit(0.1)"
@@ -94,6 +102,8 @@ class RunConfig:
                 raise ConfigError("n must be at least 2")
         if not 0 <= self.conv_tol < math.inf:
             raise ConfigError("conv_tol must be nonnegative and finite")
+        if self.max_steps < 0:
+            raise ConfigError("max_steps must be nonnegative")
         for name, kw in self.certifiers.items():
             if name not in CERTIFIERS:
                 raise ConfigError(f"unknown certifier {name!r}")
@@ -107,7 +117,9 @@ class RunConfig:
 
 def _number(key: str, value) -> float:
     """``value`` as a float; a config value that is not a number is a
-    ConfigError, whichever file format it came from."""
+    ConfigError, whichever file format it came from; so is a boolean."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -126,7 +138,7 @@ def _ini_options(text) -> dict:
 def _integer(key: str, value) -> int:
     """``value`` as an int: an integer, a whole float or the text of either;
     a fraction, an infinity, NaN or a non-number is a ConfigError."""
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return int(value)
         except ValueError:
@@ -184,36 +196,86 @@ def load_config(path: str | Path) -> RunConfig:
     return cfg
 
 
+def _explicit(text: str, key: str, size: int | None):
+    """The values of an ``explicit(...)`` spec, ``size`` of them unless
+    None; any other spec is a ConfigError."""
+    name, pos, kw = _parse_spec(text)
+    if name != "explicit" or kw:
+        raise ConfigError(f"{key} must be explicit(a, b, ...), got {text!r}")
+    if size is not None and len(pos) != size:
+        raise ConfigError(f"explicit {key} length does not match n")
+    return np.asarray(pos)
+
+
 def build_initial(cfg: RunConfig) -> PhaseConfig:
     name, pos, kw = _parse_spec(cfg.init)
-    rng = np.random.default_rng(cfg.seed)
     if name == "explicit":
-        if len(pos) != cfg.n:
-            raise ConfigError("explicit init length does not match n")
-        theta = np.asarray(pos)
+        theta = _explicit(cfg.init, "init", cfg.n)
         return PhaseConfig(theta - theta.mean())
     if name == "near-sync":
-        return inits.near_sync(cfg.n, kw.get("delta", pos[0] if pos else 0.1))
+        return inits.near_sync(cfg.n, _spec_arg(cfg.init, pos, kw, "delta", 0.1))
     if name == "near-bipolar":
-        return inits.near_bipolar(cfg.n, kw.get("delta", pos[0] if pos else 0.05))
+        return inits.near_bipolar(cfg.n, _spec_arg(cfg.init, pos, kw, "delta", 0.05))
     if name == "random-arc":
-        return inits.random_arc(cfg.n, kw.get("width", pos[0] if pos else math.pi), rng)
+        width = _spec_arg(cfg.init, pos, kw, "width", math.pi)
+        return inits.random_arc(cfg.n, width, np.random.default_rng(cfg.seed))
     raise ConfigError(f"unknown init spec {cfg.init!r}")
 
 
 def build_frequencies(cfg: RunConfig) -> NaturalFrequencies:
     name, pos, kw = _parse_spec(cfg.omega)
     if name == "zero":
+        if pos or kw:
+            raise ConfigError(f"omega {cfg.omega!r}: zero takes no argument")
         return NaturalFrequencies.zero(cfg.n)
     if name == "explicit":
-        if len(pos) != cfg.n:
-            raise ConfigError("explicit omega length does not match n")
-        return NaturalFrequencies(np.asarray(pos))
+        return NaturalFrequencies(_explicit(cfg.omega, "omega", cfg.n))
     if name == "uniform":
-        rng = np.random.default_rng(cfg.seed + 1)
-        return inits.uniform_frequencies(
-            cfg.n, kw.get("spread", pos[0] if pos else 0.1), rng)
+        spread = _spec_arg(cfg.omega, pos, kw, "spread", 0.1)
+        return inits.uniform_frequencies(cfg.n, spread, np.random.default_rng(cfg.seed + 1))
     raise ConfigError(f"unknown omega spec {cfg.omega!r}")
+
+
+_PROBLEMS = {
+    "double_well": lambda _: descent.DescentProblem(
+        dim=1,
+        potential=lambda x: float(0.25 * x[0] ** 4 - 0.5 * x[0] ** 2),
+        gradient=lambda x: np.array([x[0] ** 3 - x[0]]),
+        hessian_bound=11.0,  # sup |3x^2 - 1| on |x| <= 2
+        domain_check=lambda x: bool(abs(x[0]) <= 2.0),
+    ),
+    "quadratic": lambda dim: descent.DescentProblem(
+        dim=dim,
+        potential=lambda x: float(0.5 * (x @ x)),
+        gradient=lambda x: np.asarray(x, dtype=float),
+        hessian_bound=1.0,
+    ),
+}
+
+
+def build_inputs(cfg: RunConfig) -> tuple:
+    """Everything a run needs, built and checked before anything is
+    written: ``(init, freqs, SimParams)`` for the oscillator models and
+    ``(problem, x0)`` for generic_dgf.  An input that cannot be built is a
+    ConfigError."""
+    if cfg.model == "generic_dgf":
+        if cfg.problem not in _PROBLEMS:
+            raise ConfigError(f"unknown descent problem {cfg.problem!r}")
+        x0 = _explicit(cfg.x0, "x0", None)
+        problem = _PROBLEMS[cfg.problem](max(1, x0.size))
+        if x0.size != problem.dim:
+            raise ConfigError("x0 dimension does not match problem")
+        if not (np.all(np.isfinite(x0)) and problem.in_domain(x0)):
+            raise ConfigError("x0 lies outside the problem's domain")
+        return problem, x0
+    try:
+        init, freqs = build_initial(cfg), build_frequencies(cfg)
+    except ValueError as exc:  # an inits builder or a value record refused it
+        raise ConfigError(str(exc)) from None
+    if cfg.model == "identical" and not freqs.is_identical:
+        raise ConfigError("identical model requires omega = zero")
+    return init, freqs, SimParams(coupling=cfg.coupling, step_size=cfg.step,
+                                  max_steps=cfg.max_steps, conv_tol=cfg.conv_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -389,17 +451,13 @@ def _equilibrium_dict(eq) -> dict | None:
 
 def execute_run(cfg: RunConfig, out_dir: Path, fmt: str = "csv",
                 quiet: bool = False) -> dict:
+    inputs = build_inputs(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.model == "generic_dgf":
-        report = _execute_descent(cfg)
+        report = _execute_descent(*inputs, cfg)
     else:
-        report = _execute_oscillators(cfg, out_dir, fmt)
-    report["config"] = {
-        "model": cfg.model, "n": cfg.n, "seed": cfg.seed, "init": cfg.init,
-        "omega": cfg.omega, "coupling": cfg.coupling, "step": cfg.step,
-        "max_steps": cfg.max_steps, "conv_tol": cfg.conv_tol,
-        "certifiers": cfg.certifiers, "problem": cfg.problem, "x0": cfg.x0,
-    }
+        report = _execute_oscillators(*inputs, cfg.certifiers, out_dir, fmt)
+    report["config"] = dataclasses.asdict(cfg)
     report["timestamp"] = time.time()
     _atomic_write(out_dir / "report.json",
                   json.dumps(report, sort_keys=True, indent=2))
@@ -410,22 +468,11 @@ def execute_run(cfg: RunConfig, out_dir: Path, fmt: str = "csv",
     return report
 
 
-def _oscillator_inputs(cfg: RunConfig):
-    """The initial state and frequencies of an oscillator run."""
-    init = build_initial(cfg)
-    freqs = build_frequencies(cfg)
-    if cfg.model == "identical" and not freqs.is_identical:
-        raise ConfigError("identical model requires omega = zero")
-    return init, freqs
-
-
-def _execute_oscillators(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
-    init, freqs = _oscillator_inputs(cfg)
-    params = SimParams(coupling=cfg.coupling, step_size=cfg.step,
-                       max_steps=cfg.max_steps, conv_tol=cfg.conv_tol)
+def _execute_oscillators(init, freqs, params, certifiers: dict, out_dir: Path,
+                         fmt: str) -> dict:
     traj = simulate(init, freqs, params)
 
-    verdicts = [_verdict(name, traj, options) for name, options in cfg.certifiers.items()]
+    verdicts = [_verdict(name, traj, options) for name, options in certifiers.items()]
 
     eq = None
     if traj.stop_reason == "grad_norm" and freqs.is_identical:
@@ -449,36 +496,7 @@ def _execute_oscillators(cfg: RunConfig, out_dir: Path, fmt: str) -> dict:
     }
 
 
-def _double_well_problem():
-    return descent.DescentProblem(
-        dim=1,
-        potential=lambda x: float(0.25 * x[0] ** 4 - 0.5 * x[0] ** 2),
-        gradient=lambda x: np.array([x[0] ** 3 - x[0]]),
-        hessian_bound=11.0,  # sup |3x^2 - 1| on |x| <= 2
-        domain_check=lambda x: bool(abs(x[0]) <= 2.0),
-    )
-
-
-def _quadratic_problem(dim):
-    return descent.DescentProblem(
-        dim=dim,
-        potential=lambda x: float(0.5 * (x @ x)),
-        gradient=lambda x: np.asarray(x, dtype=float),
-        hessian_bound=1.0,
-    )
-
-
-def _execute_descent(cfg: RunConfig) -> dict:
-    _, pos, _ = _parse_spec(cfg.x0)
-    x0 = np.asarray(pos)
-    if cfg.problem == "double_well":
-        problem = _double_well_problem()
-    elif cfg.problem == "quadratic":
-        problem = _quadratic_problem(max(1, x0.size))
-    else:
-        raise ConfigError(f"unknown descent problem {cfg.problem!r}")
-    if x0.size != problem.dim:
-        raise ConfigError("x0 dimension does not match problem")
+def _execute_descent(problem, x0, cfg: RunConfig) -> dict:
     result = descent.run_descent(problem, x0, cfg.step,
                                  max_steps=cfg.max_steps, tol=cfg.conv_tol)
     cert = descent.certify_descent(problem, result, cfg.step)
@@ -516,9 +534,6 @@ def _apply_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
         c.step = float(value)
     elif axis == "N":
         c.n = _integer("N", value)
-        name, _, _ = _parse_spec(c.init)
-        if name == "explicit":
-            raise ConfigError("axis N needs a parametric init spec")
     elif axis == "delta":
         name, _, _ = _parse_spec(c.init)
         if name not in ("near-sync", "near-bipolar"):
@@ -529,8 +544,6 @@ def _apply_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
         if name != "uniform":
             raise ConfigError("axis domega needs omega = uniform(...)")
         c.omega = f"uniform(spread={float(value)})"
-        if c.model == "identical":
-            raise ConfigError("axis domega needs the nonidentical model")
     else:
         raise ConfigError(f"unknown sweep axis {axis!r} (choose from {_AXES})")
     c.validate()
@@ -545,8 +558,7 @@ def execute_sweep(cfg: RunConfig, axis: str, values, out_dir: Path,
     for i, v in enumerate(values):
         c = _apply_axis(cfg, axis, v)
         c.seed = cfg.seed ^ i  # documented per-point seed derivation
-        if c.model != "generic_dgf":
-            _oscillator_inputs(c)  # a bad point fails before any point runs
+        build_inputs(c)  # a bad point fails before any point runs
         points.append((i, v, c))
 
     results, diverged = [], None
@@ -586,7 +598,7 @@ def execute_sweep(cfg: RunConfig, axis: str, values, out_dir: Path,
 def execute_classify(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> dict:
     if cfg.model != "identical":
         raise ConfigError("classification applies to the identical model")
-    init = build_initial(cfg)
+    init, _, _ = build_inputs(cfg)
     try:
         cls = analysis.classify_initial(init, cfg.coupling)
         report = {

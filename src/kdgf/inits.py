@@ -49,7 +49,7 @@ def random_arc(n: int, width: float, rng: np.random.Generator) -> PhaseConfig:
         if abs(mean_field(theta) / n) < 1e-9:
             continue
         return PhaseConfig(theta)
-    raise RuntimeError("could not draw an admissible configuration")
+    raise ValueError("could not draw an admissible configuration")
 
 
 def uniform_frequencies(n: int, spread: float,

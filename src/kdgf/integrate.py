@@ -12,6 +12,7 @@ from .core import (
     NaturalFrequencies,
     PhaseConfig,
     SimParams,
+    _check_lengths,
     mean_field,
     potential_from_mean_field,
     velocity_arrays,
@@ -75,8 +76,7 @@ def euler_step(config: PhaseConfig, freqs: NaturalFrequencies,
     Shares its update arithmetic with :func:`kdgf.core.kuramoto_gradient`, so
     euler_step(c) == c - h * gradient(c) holds bitwise.
     """
-    if config.n != freqs.omega.size:
-        raise ValueError("length mismatch between phases and frequencies")
+    _check_lengths(config, freqs)
     v = velocity_arrays(config.phases, freqs.omega, params.coupling)
     v *= params.step_size
     v += config.phases
@@ -111,8 +111,7 @@ def simulate(init: PhaseConfig, freqs: NaturalFrequencies,
     ("max_steps"); conv_tol = 0 runs to the cap.  Raises DivergenceError if
     any phase magnitude passes the 1e6 guard.
     """
-    if init.n != freqs.omega.size:
-        raise ValueError("length mismatch between phases and frequencies")
+    _check_lengths(init, freqs)
     n = init.n
     omega = freqs.omega
     kk = params.coupling
@@ -198,8 +197,7 @@ def rk4_reference(init: PhaseConfig, freqs: NaturalFrequencies, coupling: float,
     ``h``, each taken as 10 RK4 substeps of h/10; only the state after each
     whole step is kept, so the reference holds (n_steps + 1) rows.
     """
-    if init.n != freqs.omega.size:
-        raise ValueError("length mismatch between phases and frequencies")
+    _check_lengths(init, freqs)
     if not (h > 0 and n_steps >= 0):
         raise ValueError("h must be positive and n_steps nonnegative")
     dt = h / 10.0

@@ -202,6 +202,11 @@ def test_classify_subcommand(tmp_path):
     report = json.loads((out / "classification.json").read_text())
     assert report["kind"] == "sync"
     assert report["equilibrium"]["windings"] == [0, 0, 0]
+    # classify builds its inputs as run does: an identical run needs omega = zero
+    bad = write_config(tmp_path / "bad.ini",
+                       IDENTICAL_CFG.replace("omega = zero", "omega = uniform(0.3)"))
+    assert main(["classify", bad, "--out", str(tmp_path / "bad"), "--quiet"]) == 2
+    assert not (tmp_path / "bad").exists()
 
 
 def test_thresholds_subcommand(capsys):
@@ -278,13 +283,39 @@ MODELS = ("identical", "nonidentical", "generic_dgf")
     {"run": GOOD_RUN, "certifiers": {"error_bound": {"max_steps": -math.inf}}},
     *({"run": {**GOOD_RUN, "model": model, "conv_tol": tol}}
       for model in MODELS for tol in (-1, math.nan)),
+    {"run": {**GOOD_RUN, "init": "near-sync(-0.1)"}},
+    {"run": {**GOOD_RUN, "model": "nonidentical", "omega": "explicit(0.1, -0.1)"}},
+    {"run": {**GOOD_RUN, "omega": "uniform(0.3)"}},
+    {"run": {**GOOD_RUN, "model": "generic_dgf", "x0": "near-sync(0.5)"}},
+    {"run": {**GOOD_RUN, "model": "generic_dgf", "problem": "double_well",
+             "x0": "explicit(0.1, 0.2)"}},
+    {"run": {**GOOD_RUN, "model": "generic_dgf", "x0": "explicit(3.0)"}},
+    {"run": {**GOOD_RUN, "model": "generic_dgf", "problem": "saddle"}},
+    *({"run": {**GOOD_RUN, "model": model, "max_steps": -1}} for model in MODELS),
+    {"run": {**GOOD_RUN, "init": "near-sync(dleta=0.5)"}},
+    {"run": {**GOOD_RUN, "init": "random-arc(widht=1.0)"}},
+    {"run": {**GOOD_RUN, "model": "nonidentical", "omega": "uniform(sprad=0.5)"}},
+    {"run": {**GOOD_RUN, "init": "near-sync(0.5, 0.7)"}},
+    {"run": {**GOOD_RUN, "omega": "zero(0.1)"}},
+    {"run": {**GOOD_RUN, "coupling": True}},
+    {"run": {**GOOD_RUN, "seed": False}},
 ], ids=["seed-list", "top-level-list", "certifiers-list", "run-list", "n-inf",
         "n-nan", "n-fraction", "max-steps-dict", "options-string",
         "start-fraction", "max-steps-minus-inf",
-        *(f"conv-tol-{tol}-{model}" for model in MODELS for tol in ("minus-one", "nan"))])
+        *(f"conv-tol-{tol}-{model}" for model in MODELS for tol in ("minus-one", "nan")),
+        "delta-negative", "omega-length", "identical-uniform", "x0-not-explicit",
+        "x0-dimension", "x0-outside-domain", "unknown-problem",
+        *(f"max-steps-minus-one-{model}" for model in MODELS),
+        "misspelt-delta", "misspelt-width", "misspelt-spread", "extra-argument",
+        "zero-argument", "coupling-true", "seed-false"])
 def test_malformed_json_config_exits_2(tmp_path, data):
     cfg = write_config(tmp_path / "bad.json", json.dumps(data))
     assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+# the [run] lines of IDENTICAL_CFG from model to max_steps
+RUN_LINES = IDENTICAL_CFG[IDENTICAL_CFG.index("model"):IDENTICAL_CFG.index("\nconv_tol")]
 
 
 @pytest.mark.parametrize("old,new", [
@@ -296,11 +327,36 @@ def test_malformed_json_config_exits_2(tmp_path, data):
     ("[certifiers]", "no equals sign\n[certifiers]"),
     ("diameter_decay = eps=0.3", "diameter_decay = eps=0"),
     ("diameter_decay = eps=0.3", "bipolar_bounds = eps=inf"),
+    ("init = near-sync(0.1)", "init = near-sync(-0.1)"),
+    ("omega = zero", "omega = explicit(0.1, -0.1)"),
+    ("omega = zero", "omega = uniform(0.3)"),
+    ("model = identical", "model = generic_dgf\nx0 = near-sync(0.5)"),
+    ("model = identical", "model = generic_dgf\nproblem = double_well\nx0 = explicit(0.1, 0.2)"),
+    ("model = identical", "model = generic_dgf\nx0 = explicit(3.0)"),
+    ("model = identical", "model = generic_dgf\nproblem = saddle"),
+    *((RUN_LINES, RUN_LINES.replace("identical", model).replace("20000", "-1"))
+      for model in MODELS),
+    ("init = near-sync(0.1)", "init = near-sync(dleta=0.5)"),
+    ("init = near-sync(0.1)", "init = random-arc(widht=1.0)"),
+    (RUN_LINES, RUN_LINES.replace("identical", "nonidentical")
+     .replace("zero", "uniform(sprad=0.5)")),
+    ("init = near-sync(0.1)", "init = near-sync(0.5, 0.7)"),
+    ("omega = zero", "omega = zero(0.1)"),
+    # too narrow an arc for 3000 distinct phases
+    (RUN_LINES, RUN_LINES.replace("n = 3", "n = 3000")
+     .replace("near-sync(0.1)", "random-arc(1e-320)")),
 ], ids=["start-inf", "n0-nan", "seed-fraction", "bad-interpolation",
-        "duplicate-section", "unparsable-line", "eps-zero", "eps-inf"])
+        "duplicate-section", "unparsable-line", "eps-zero", "eps-inf",
+        "delta-negative", "omega-length", "identical-uniform", "x0-not-explicit",
+        "x0-dimension", "x0-outside-domain", "unknown-problem",
+        *(f"max-steps-minus-one-{model}" for model in MODELS),
+        "misspelt-delta", "misspelt-width", "misspelt-spread", "extra-argument",
+        "zero-argument", "arc-too-narrow"])
 def test_malformed_ini_config_exits_2(tmp_path, old, new):
+    assert old in IDENTICAL_CFG
     cfg = write_config(tmp_path / "bad.ini", IDENTICAL_CFG.replace(old, new))
     assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_integer_values_accept_whole_numbers(tmp_path):
@@ -458,8 +514,9 @@ NONIDENTICAL_CFG = IDENTICAL_CFG.replace("model = identical", "model = nonidenti
     (IDENTICAL_CFG, "delta", "0.1,-0.1"),
     (NONIDENTICAL_CFG.replace("omega = zero", "omega = uniform(0.1)"), "domega", "0.1,-0.1"),
     (NONIDENTICAL_CFG.replace("omega = zero", "omega = explicit(0.1, 0, -0.1)"), "N", "3,4"),
+    (DGF_CFG.replace("explicit(0.1)", "explicit(0.1, 0.2)"), "h", "0.01,0.02"),
 ], ids=["K-negative", "h-zero", "N-one", "N-fraction", "delta-negative",
-        "domega-negative", "N-explicit-omega"])
+        "domega-negative", "N-explicit-omega", "dgf-x0-dimension"])
 def test_sweep_checks_every_point_before_running_any(tmp_path, text, axis, values):
     cfg = write_config(tmp_path / "run.ini", text)
     out = tmp_path / "sweep"

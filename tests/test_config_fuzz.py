@@ -1,5 +1,6 @@
 """Config fuzz: whatever an INI or JSON config holds, ``kdgf run`` exits
-0 (ran), 2 (bad input) or 3 (divergence) and never raises."""
+0 (ran), 2 (bad input, with nothing written) or 3 (divergence) and never
+raises."""
 import inspect
 import json
 import math
@@ -90,10 +91,13 @@ def _ini_value(v) -> str:
 
 
 def run_config(name: str, text: str) -> int:
+    """Exit code of ``kdgf run`` on ``text``; bad input leaves no --out."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / name
+        path, out = Path(tmp) / name, Path(tmp) / "out"
         path.write_text(text, encoding="utf-8")
-        return main(["run", str(path), "--out", str(Path(tmp) / "out"), "--quiet"])
+        code = main(["run", str(path), "--out", str(out), "--quiet"])
+        assert code != 2 or not out.exists()
+        return code
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

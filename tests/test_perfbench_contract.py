@@ -24,3 +24,35 @@ def test_reference_count_reads_the_knots():
     ref = cli.rk4_reference(PhaseConfig([0.1, -0.1]), NaturalFrequencies.zero(2),
                             1.0, 0.1, 3)
     assert tracing._result_attrs("integrate.rk4_reference", (), ref) == {"knots": 3}
+
+
+def test_sweep_reaches_the_traced_names(tmp_path, monkeypatch):
+    # perfbench times sweep points as cli.execute_run spans and input
+    # building as cli.build_initial / cli.build_frequencies spans, so a sweep
+    # must call each of them through the module attribute.
+    calls = {"execute_run": [], "build_initial": [], "build_frequencies": []}
+    running = []  # names of the wrapped calls in progress
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append("execute_run" in running)
+            running.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                running.pop()
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nmodel = nonidentical\nn = 4\ninit = random-arc(2.0)\n"
+                   "omega = uniform(0.2)\ncoupling = 1.0\nstep = 0.05\nmax_steps = 50\n")
+    assert cli.main(["sweep", str(cfg), "--axis", "K", "--values", "1.0,2.0",
+                     "--out", str(tmp_path / "sweep"), "--quiet"]) == 0
+    assert len(calls["execute_run"]) == 2
+    for name in ("build_initial", "build_frequencies"):
+        # each point's run builds its own inputs (the check pass may too)
+        assert calls[name].count(True) == 2
