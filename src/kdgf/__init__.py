@@ -21,6 +21,7 @@ from .integrate import (
     rk4_reference,
     rk4_step,
     simulate,
+    simulate_batch,
 )
 from .descent import (
     DescentProblem,

@@ -28,6 +28,7 @@ from .core import NaturalFrequencies, PhaseConfig, SimParams
 from .integrate import (
     DivergenceError,
     Trajectory,
+    _euler_rows,
     euler_error_bound,
     rk4_reference,
     simulate,
@@ -450,13 +451,16 @@ def _equilibrium_dict(eq) -> dict | None:
 
 
 def execute_run(cfg: RunConfig, out_dir: Path, fmt: str = "csv",
-                quiet: bool = False) -> dict:
+                quiet: bool = False, stepped=None) -> dict:
+    """Run, certify and write one config.  ``stepped`` is the oscillator
+    run's result when a batch has already stepped it (a Trajectory, or the
+    DivergenceError to raise); None runs simulate."""
     inputs = build_inputs(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.model == "generic_dgf":
         report = _execute_descent(*inputs, cfg)
     else:
-        report = _execute_oscillators(*inputs, cfg.certifiers, out_dir, fmt)
+        report = _execute_oscillators(*inputs, cfg.certifiers, out_dir, fmt, stepped)
     report["config"] = dataclasses.asdict(cfg)
     report["timestamp"] = time.time()
     _atomic_write(out_dir / "report.json",
@@ -469,8 +473,10 @@ def execute_run(cfg: RunConfig, out_dir: Path, fmt: str = "csv",
 
 
 def _execute_oscillators(init, freqs, params, certifiers: dict, out_dir: Path,
-                         fmt: str) -> dict:
-    traj = simulate(init, freqs, params)
+                         fmt: str, stepped=None) -> dict:
+    traj = simulate(init, freqs, params) if stepped is None else stepped
+    if isinstance(traj, DivergenceError):
+        raise traj
 
     verdicts = [_verdict(name, traj, options) for name, options in certifiers.items()]
 
@@ -558,27 +564,39 @@ def execute_sweep(cfg: RunConfig, axis: str, values, out_dir: Path,
     for i, v in enumerate(values):
         c = _apply_axis(cfg, axis, v)
         c.seed = cfg.seed ^ i  # documented per-point seed derivation
-        build_inputs(c)  # a bad point fails before any point runs
-        points.append((i, v, c))
+        points.append((c, build_inputs(c)))  # a bad point fails before any point runs
 
-    results, diverged = [], None
-    for i, v, c in points:
+    reports, diverged = {}, {}
+
+    def run_point(i, stepped=None):
         try:
-            report = execute_run(c, out_dir / f"point_{i:03d}", fmt=fmt, quiet=True)
+            reports[i] = execute_run(points[i][0], out_dir / f"point_{i:03d}",
+                                     fmt=fmt, quiet=True, stepped=stepped)
         except DivergenceError as exc:
             # a divergent point is a summary row; the sweep goes on
-            diverged = diverged or exc
-            report = {"trajectory": {"steps": exc.step, "stop_reason": "diverged",
-                                     "final_grad_norm": math.nan}, "verdicts": []}
-        results.append((i, v, report))
+            diverged[i] = exc
+            reports[i] = {"trajectory": {"steps": exc.step, "stop_reason": "diverged",
+                                         "final_grad_norm": math.nan}, "verdicts": []}
+
+    if cfg.model == "generic_dgf":
+        for i in range(len(points)):
+            run_point(i)
+    else:  # the points of each N step together as rows of one batch
+        groups = {}
+        for i, (c, _) in enumerate(points):
+            groups.setdefault(c.n, []).append(i)
+        for group in groups.values():
+            starts, freqs, params = zip(*(points[i][1] for i in group))
+            for row, stepped in _euler_rows(starts, freqs, params):
+                run_point(group[row], stepped)
 
     cert_names = list(cfg.certifiers) or (
         ["descent"] if cfg.model == "generic_dgf" else [])
     lines = [",".join(["index", axis, "steps", "stop_reason", "final_grad_norm"]
                       + [f"cert_{n}" for n in cert_names])]
-    for i, v, report in results:
-        tr = report["trajectory"]
-        verdicts = {x["name"]: x["passed"] for x in report["verdicts"]}
+    for i, v in enumerate(values):
+        tr = reports[i]["trajectory"]
+        verdicts = {x["name"]: x["passed"] for x in reports[i]["verdicts"]}
         row = [str(i), _fmt(v) if axis != "N" else str(int(v)), str(tr["steps"]),
                tr["stop_reason"], _fmt(tr["final_grad_norm"])]
         row += ["pass" if verdicts.get(n) else "fail" for n in cert_names]
@@ -586,9 +604,9 @@ def execute_sweep(cfg: RunConfig, axis: str, values, out_dir: Path,
     _atomic_write(out_dir / "summary.csv", "\n".join(lines) + "\n")
     if not quiet:
         print(f"sweep summary written to {out_dir / 'summary.csv'}")
-    if diverged is not None:
-        raise diverged
-    return [r for _, _, r in results]
+    if diverged:
+        raise diverged[min(diverged)]
+    return [reports[i] for i in range(len(values))]
 
 
 # ---------------------------------------------------------------------------

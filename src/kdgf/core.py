@@ -121,17 +121,20 @@ def mean_field(theta: np.ndarray):
 
 
 def coupling_sums(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """sum_j sin(theta_j - theta_i) for every i, in O(N).
+    """sum_j sin(theta_j - theta_i) for every i, in O(N), over the last axis
+    of ``theta``: one configuration (N,) or one per row (B, N).
 
     Uses the order-parameter identity
     sum_j sin(theta_j - theta_i) = cos(theta_i) sum_j sin(theta_j)
                                    - sin(theta_i) sum_j cos(theta_j).
-    Rounding error is of order N * eps against the pairwise sum.
+    Rounding error is of order N * eps against the pairwise sum.  A row of a
+    C-contiguous (B, N) array is summed in the same order as the same row
+    alone, so each row's result is bitwise that of the (N,) call.
     """
     s = np.sin(theta)
     c = np.cos(theta)
-    out = np.multiply(c, s.sum(), out=out)
-    s *= c.sum()
+    out = np.multiply(c, np.add.reduce(s, -1, keepdims=True), out=out)
+    s *= np.add.reduce(c, -1, keepdims=True)
     out -= s
     return out
 
@@ -141,10 +144,11 @@ def velocity_arrays(theta, omega, coupling, out=None):
 
     This equals minus the potential gradient; every stepper and gradient
     evaluation funnels through this function so the identities between them
-    hold bit-exactly.
+    hold bit-exactly.  ``theta`` is (N,) or (B, N); ``coupling`` is a scalar
+    or a (B, 1) column and ``omega`` is (N,) or (B, N).
     """
     v = coupling_sums(theta, out)
-    v *= coupling / theta.shape[0]
+    v *= coupling / theta.shape[-1]
     v += omega
     return v
 

@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .core import NaturalFrequencies, gradient_arrays, potential_arrays
+from .integrate import DivergenceError
 
 
 def _finite_difference_gradient(potential, x, eps=1e-6):
@@ -111,7 +112,9 @@ def run_descent(problem: DescentProblem, x0, h: float, max_steps: int = 1_000_00
 
     The step guard h < 2/hessian_bound is reported, not enforced; runs with
     an inadmissible h proceed and typically fail certification instead.
-    Leaving the working domain stops the run with a domain-exit flag.
+    Leaving the working domain stops the run with a domain-exit flag.  An
+    iterate whose potential or gradient overflows or is not finite raises
+    DivergenceError with its step.
     """
     if not h > 0:
         raise ValueError("h must be positive")
@@ -128,12 +131,13 @@ def run_descent(problem: DescentProblem, x0, h: float, max_steps: int = 1_000_00
     converged = False
     n = 0
     while True:
-        f = float(problem.potential(x))
-        g = np.asarray(problem.gradient(x), dtype=float)
-        if not (math.isfinite(f) and np.all(np.isfinite(g))):
-            raise ValueError(f"non-finite potential or gradient at step {n}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = float(problem.potential(x))
+            g = np.asarray(problem.gradient(x), dtype=float)
+            gn = float(np.linalg.norm(g))
+        if not (math.isfinite(f) and math.isfinite(gn)):
+            raise DivergenceError(n, "non-finite potential or gradient")
         f_vals.append(f)
-        gn = float(np.linalg.norm(g))
         g_norms.append(gn)
         if gn < tol:
             reason = "converged"
@@ -141,7 +145,8 @@ def run_descent(problem: DescentProblem, x0, h: float, max_steps: int = 1_000_00
             break
         if n >= max_steps:
             break
-        x_next = x - h * g
+        with np.errstate(over="ignore"):
+            x_next = x - h * g
         if not problem.in_domain(x_next):
             x = x_next
             reason = "domain_exit"

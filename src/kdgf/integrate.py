@@ -3,7 +3,6 @@ discrete dynamics, a Runge-Kutta reference for the continuous flow, and the
 classical global-error bound relating the two."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,13 +21,14 @@ DIVERGENCE_LIMIT = 1.0e6
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a phase magnitude exceeds the divergence guard.
+    """Raised when a phase magnitude exceeds the divergence guard, or a
+    descent iterate's potential or gradient is not finite.
 
     Out-of-theory behaviour (step size too large); carries the step index.
     """
 
-    def __init__(self, step: int):
-        super().__init__(f"divergence: |theta| exceeded {DIVERGENCE_LIMIT:g} at step {step}")
+    def __init__(self, step: int, what: str = f"|theta| exceeded {DIVERGENCE_LIMIT:g}"):
+        super().__init__(f"divergence: {what} at step {step}")
         self.step = step
 
 
@@ -111,57 +111,143 @@ def simulate(init: PhaseConfig, freqs: NaturalFrequencies,
     ("max_steps"); conv_tol = 0 runs to the cap.  Raises DivergenceError if
     any phase magnitude passes the 1e6 guard.
     """
-    _check_lengths(init, freqs)
-    n = init.n
-    omega = freqs.omega
-    kk = params.coupling
-    h = params.step_size
-    max_steps = params.max_steps
-    grad_tol = params.conv_tol
+    [(_, result)] = _euler_rows([init], [freqs], [params])
+    if isinstance(result, DivergenceError):
+        raise result
+    return result
 
-    cap = min(max_steps + 1, 4096)
-    buf = np.empty((cap, n))
-    buf[0] = init.phases
-    gnorm = np.empty(cap)
 
-    vel = np.empty(n)
-    step_vec = np.empty(n)
+def simulate_batch(inits, freqs, params) -> list:
+    """:func:`simulate` of every row, stepped together: row b runs from
+    ``inits[b]`` with ``freqs[b]`` and ``params[b]``.  All rows have the same
+    N, ``max_steps`` and ``conv_tol``.  Returns one result per row: its
+    Trajectory, bitwise the one simulate gives, or the DivergenceError
+    simulate would raise.
+    """
+    results = [None] * len(inits)
+    for row, result in _euler_rows(inits, freqs, params):
+        results[row] = result
+    return results
 
-    m = 0  # index of the last filled row
-    while True:
-        theta = buf[m]
-        if m > 0 and (float(theta.max()) > DIVERGENCE_LIMIT
-                      or float(theta.min()) < -DIVERGENCE_LIMIT):
-            raise DivergenceError(m)
-        velocity_arrays(theta, omega, kk, out=vel)
-        gn = math.sqrt(float(vel @ vel))
-        gnorm[m] = gn
 
-        if gn < grad_tol:
-            reason = "grad_norm"
-            break
-        if m >= max_steps:
-            reason = "max_steps"
-            break
+BLOCK_STEPS = 64  # Euler steps between two applications of the guard and stop rule
 
-        if m + 1 >= cap:
-            cap = min(max_steps + 1, cap * 4)
-            buf = np.concatenate([buf, np.empty((cap - buf.shape[0], n))])
-            gnorm = np.concatenate([gnorm, np.empty(cap - gnorm.shape[0])])
-        np.multiply(vel, h, out=step_vec)
-        np.add(theta, step_vec, out=buf[m + 1])
-        m += 1
 
-    phases = buf[: m + 1].copy()
+def _euler_rows(inits, freqs, params):
+    """The Euler engine behind simulate and simulate_batch.  Yields
+    ``(row, result)`` as each row finishes, in finishing order.
+
+    Rows step together in blocks of BLOCK_STEPS.  Each block is a
+    C-contiguous (steps + 1, rows, N) array, so each row's reductions are
+    those of the row alone.  The guard and the stop rule are applied at block
+    ends, in the per-step order guard, gradient norm, step cap, so a row's
+    result is exactly that of a step-by-step check; a row past the guard
+    steps on to the end of its block, and those steps are discarded.
+    Finished rows leave the batch at once.  The stored blocks keep them
+    until half their rows are done, and are then compacted.
+    """
+    if not len(inits) == len(freqs) == len(params):
+        raise ValueError("one set of frequencies and parameters per row")
+    if not inits:
+        return
+    for init, f in zip(inits, freqs):
+        _check_lengths(init, f)
+    n, max_steps, tol = inits[0].n, params[0].max_steps, params[0].conv_tol
+    if any(init.n != n for init in inits):
+        raise ValueError("batch rows need the same number of oscillators")
+    if any((p.max_steps, p.conv_tol) != (max_steps, tol) for p in params):
+        raise ValueError("batch rows need the same max_steps and conv_tol")
+
+    rows = np.arange(len(inits))  # the live rows' indices, ascending
+    theta = np.array([init.phases for init in inits])
+    omega = np.array([f.omega for f in freqs])
+    kk = np.array([[p.coupling] for p in params])
+    h = np.array([[p.step_size] for p in params])
+    history = [(rows, [])]  # (rows, blocks): runs of blocks with the same rows
+    stored = rows.size  # rows the stored blocks hold
+    m0 = 0  # step of the block's first row
+    while rows.size:
+        steps = min(BLOCK_STEPS, max_steps + 1 - m0)
+        blk = np.empty((steps + 1, rows.size, n))
+        blk[0] = theta
+        vel = np.empty((steps, rows.size, n))
+        k_b, h_b = _shared(kk), _shared(h)
+        views = list(blk)
+        # a row past the guard may step on to inf before the block ends
+        with np.errstate(over="ignore", invalid="ignore"):
+            for cur, nxt, v in zip(views, views[1:], vel):
+                velocity_arrays(cur, omega, k_b, out=v)
+                np.multiply(v, h_b, out=nxt)
+                nxt += cur
+            # per step and row the ddot of vel @ vel
+            gnorm = np.sqrt(np.matmul(vel[:, :, None, :], vel[:, :, :, None])[:, :, 0, 0])
+            m = np.arange(m0, m0 + steps)[:, None]
+            diverged = (((blk[:steps].max(axis=2) > DIVERGENCE_LIMIT)
+                         | (blk[:steps].min(axis=2) < -DIVERGENCE_LIMIT)) & (m > 0))
+            converged = gnorm < tol
+        stop = diverged | converged | (m == max_steps)
+        history[-1][1].append((blk[:steps], gnorm))
+
+        done = stop.any(axis=0)
+        finished = []  # (row, DivergenceError or (phases, gnorm, stop reason))
+        for slot in np.flatnonzero(done):
+            j = int(stop[:, slot].argmax())  # the row's stop step is m0 + j
+            if diverged[j, slot]:
+                result = DivergenceError(m0 + j)
+            else:
+                reason = "grad_norm" if converged[j, slot] else "max_steps"
+                result = (*_gather(history, rows[slot], m0 + j + 1), reason)
+            finished.append((int(rows[slot]), result))
+
+        theta = blk[steps]
+        m0 += steps
+        if finished:  # drop the finished rows before handing them out
+            keep = ~done
+            rows, theta = rows[keep], theta[keep]
+            omega, kk, h = omega[keep], kk[keep], h[keep]
+            if not rows.size:
+                history = []
+            elif 2 * rows.size <= stored:
+                history, stored = [(rows, [_gather(history, rows, m0)])], rows.size
+            else:
+                history.append((rows, []))
+        for row, result in finished:
+            if not isinstance(result, DivergenceError):
+                result = _trajectory(*result, freqs[row], params[row])
+            yield row, result
+
+
+def _shared(column):
+    """A (B, 1) column as one float when all its rows agree: numpy takes a
+    scalar operand faster than a broadcast column."""
+    return float(column[0, 0]) if (column == column[0, 0]).all() else column
+
+
+def _gather(history, rows, count):
+    """Phases and gradient norms of the first ``count`` stored steps of
+    ``rows``: one row index (giving (count, N) and (count,)) or an ascending
+    array of them (giving (count, B, N) and (count, B)), C-contiguous."""
+    phases, gnorm = [], []
+    for ids, blocks in history:
+        slots = np.searchsorted(ids, rows)
+        for ph, gn in blocks:
+            phases.append(ph[:count, slots])
+            gnorm.append(gn[:count, slots])
+            count -= ph.shape[0]
+    return np.concatenate(phases), np.concatenate(gnorm)
+
+
+def _trajectory(phases, gnorm, reason, freqs, params) -> Trajectory:
     phases.setflags(write=False)
-    diameters, potentials, order_r, order_phi = _diagnostic_series(phases, omega, kk)
+    diameters, potentials, order_r, order_phi = _diagnostic_series(
+        phases, freqs.omega, params.coupling)
     return Trajectory(
         phases=phases,
         params=params,
         freqs=freqs,
         diameters=diameters,
         potentials=potentials,
-        grad_norms=gnorm[: m + 1].copy(),
+        grad_norms=gnorm,
         order_r=order_r,
         order_phi=order_phi,
         stop_reason=reason,
@@ -174,12 +260,27 @@ def simulate(init: PhaseConfig, freqs: NaturalFrequencies,
 
 def rk4_step(theta: np.ndarray, omega: np.ndarray, coupling: float,
              dt: float) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta step of the continuous flow."""
-    k1 = velocity_arrays(theta, omega, coupling)
-    k2 = velocity_arrays(theta + (0.5 * dt) * k1, omega, coupling)
-    k3 = velocity_arrays(theta + (0.5 * dt) * k2, omega, coupling)
-    k4 = velocity_arrays(theta + dt * k3, omega, coupling)
-    return theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical 4th-order Runge-Kutta step of the continuous flow,
+    theta + (dt/6)(k1 + 2 k2 + 2 k3 + k4), summed left to right.  The sum
+    accumulates stage by stage in three buffers."""
+    acc = velocity_arrays(theta, omega, coupling)  # k1
+    y = np.multiply(acc, 0.5 * dt)
+    y += theta
+    k = velocity_arrays(y, omega, coupling)  # k2
+    np.multiply(k, 0.5 * dt, out=y)
+    y += theta
+    k *= 2.0
+    acc += k
+    velocity_arrays(y, omega, coupling, out=k)  # k3
+    np.multiply(k, dt, out=y)
+    y += theta
+    k *= 2.0
+    acc += k
+    velocity_arrays(y, omega, coupling, out=k)  # k4
+    acc += k
+    acc *= dt / 6.0
+    acc += theta
+    return acc
 
 
 @dataclass(frozen=True)
@@ -248,11 +349,14 @@ def euler_error_bound(traj: Trajectory, oracle: Rk4Path,
         raise ValueError("reference mismatch: the reference must have the run's "
                          "step size and step count")
 
-    # one-step defect of the true solution under the Euler update
+    # one-step defect of the true solution under the Euler update, one
+    # kernel call per chunk of about 2**18 phases
     trunc = np.zeros(m + 1)
-    for i in range(m):
-        f_ref = velocity_arrays(ref[i], traj.freqs.omega, traj.params.coupling)
-        trunc[i] = float(np.abs((ref[i + 1] - ref[i]) / h - f_ref).max())
+    chunk = max(1, 262144 // ref.shape[1])
+    for lo in range(0, m, chunk):
+        rows = ref[lo:lo + chunk + 1]
+        f_ref = velocity_arrays(rows[:-1], traj.freqs.omega, traj.params.coupling)
+        trunc[lo:lo + len(f_ref)] = np.abs((rows[1:] - rows[:-1]) / h - f_ref).max(axis=1)
     t_max = float(trunc.max())
 
     steps = np.arange(m + 1)

@@ -32,6 +32,7 @@ from kdgf import (
     rk4_reference,
     run_descent,
     simulate,
+    simulate_batch,
 )
 from kdgf.analysis import effective_series
 from kdgf.cli import main
@@ -231,9 +232,9 @@ def test_a08_equilibrium_taxonomy():
     sync_count = 0
     inits = [random_arc(n, 1.5 * math.pi, rng) for _ in range(100)]
     inits.append(near_bipolar(n, 0.05))  # one certified opposed-class start
-    for init in inits:
+    trajs = simulate_batch(inits, [freqs] * len(inits), [params] * len(inits))
+    for init, traj in zip(inits, trajs):
         cls = classify_initial(init, k)
-        traj = simulate(init, freqs, params)
         assert traj.stop_reason == "grad_norm", "run did not converge"
         eq = match_equilibrium(traj.final_config())
         assert eq is not None, "converged run did not match a locked state"

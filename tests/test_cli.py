@@ -236,6 +236,17 @@ def test_divergence_exit_code(tmp_path):
     assert main(["run", cfg, "--out", str(tmp_path / "d"), "--quiet"]) == 3
 
 
+def test_diverging_descent_exits_3(tmp_path, capsys):
+    # x_n = (-4)^n: the potential overflows at step 256.  Tier-1 turns a
+    # numpy RuntimeWarning into an error, so a warning would fail this test.
+    cfg = write_config(tmp_path / "dgf.ini", "[run]\nmodel = generic_dgf\n"
+                       "problem = quadratic\nx0 = explicit(1.0)\nstep = 5\n"
+                       "max_steps = 1000\nn = 1\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "d"), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: divergence: non-finite potential or gradient at step 256\n"
+
+
 def test_sweep_divergent_point_is_a_summary_row(tmp_path, capsys):
     # h = 1.0 diverges near step 5000; h = 0.001 runs all 6000 steps
     text = DIVERGENT_CFG.replace("max_steps = 100000", "max_steps = 6000")

@@ -18,7 +18,10 @@ from kdgf import (
     rk4_reference,
     rk4_step,
     simulate,
+    simulate_batch,
 )
+from kdgf import integrate
+from kdgf.core import velocity_arrays
 
 
 def naive_euler(theta, omega, k, h):
@@ -167,6 +170,149 @@ def test_simulate_large_n_near_sync_reaches_grad_tol():
     # the last steps still contract at the linear rate 1 - hK, not at noise
     ratio = traj.grad_norms[-1] / traj.grad_norms[-2]
     assert ratio == pytest.approx(1.0 - h * k, abs=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# simulate_batch: rows stepped together
+# ---------------------------------------------------------------------------
+
+def step_by_step(init, freqs, params):
+    """The Euler loop checked one step at a time: guard, then gradient norm,
+    then step cap.  Returns (phases, grad norms, stop reason) or raises."""
+    theta, rows, norms = init.phases, [], []
+    while True:
+        m = len(rows)
+        if m > 0 and np.abs(theta).max() > integrate.DIVERGENCE_LIMIT:
+            raise DivergenceError(m)
+        v = velocity_arrays(theta, freqs.omega, params.coupling)
+        rows.append(theta)
+        norms.append(math.sqrt(float(v @ v)))
+        if norms[-1] < params.conv_tol:
+            return np.array(rows), np.array(norms), "grad_norm"
+        if m >= params.max_steps:
+            return np.array(rows), np.array(norms), "max_steps"
+        theta = theta + v * params.step_size
+
+
+def assert_same_run(traj, init, freqs, params):
+    phases, norms, reason = step_by_step(init, freqs, params)
+    assert traj.stop_reason == reason
+    assert traj.n_steps == phases.shape[0] - 1
+    assert traj.phases.tobytes() == phases.tobytes()
+    assert traj.grad_norms.tobytes() == norms.tobytes()
+    single = simulate(init, freqs, params)
+    for name in ("phases", "grad_norms", "diameters", "potentials", "order_r",
+                 "order_phi"):
+        assert getattr(traj, name).tobytes() == getattr(single, name).tobytes(), name
+    assert single.stop_reason == reason
+
+
+def batch_rows(n, seed, max_steps=20_000, conv_tol=1e-10):
+    """A fixed point that stops at step 0, then rows with their own start,
+    frequencies, K and h that stop at various steps."""
+    rng = np.random.default_rng(seed)
+    starts = [PhaseConfig(np.full(n, 0.3))]
+    freqs = [NaturalFrequencies.zero(n)]
+    couplings, steps = [1.0], [0.05]
+    for k, h, spread in ((1.0, 0.05, 0.0), (2.5, 0.08, 0.1), (0.7, 0.02, 0.0),
+                         (4.0, 0.03, 0.2), (0.3, 0.1, 0.05)):
+        starts.append(inits.random_arc(n, 2.0, rng))
+        freqs.append(inits.uniform_frequencies(n, spread, rng) if spread
+                     else NaturalFrequencies.zero(n))
+        couplings.append(k)
+        steps.append(h)
+    params = [SimParams(k, h, max_steps=max_steps, conv_tol=conv_tol)
+              for k, h in zip(couplings, steps)]
+    return starts, freqs, params
+
+
+@pytest.mark.parametrize("n", [2, 4, 7, 64, 1000])
+def test_simulate_batch_rows_equal_single_runs(n):
+    starts, freqs, params = batch_rows(n, seed=n)
+    trajs = simulate_batch(starts, freqs, params)
+    for traj, init, f, p in zip(trajs, starts, freqs, params):
+        assert_same_run(traj, init, f, p)
+    assert trajs[0].n_steps == 0 and trajs[0].stop_reason == "grad_norm"
+    blocks = {t.n_steps // integrate.BLOCK_STEPS for t in trajs}
+    assert len(blocks) >= 3  # rows stop in different blocks
+
+
+@pytest.mark.parametrize("max_steps", [0, 1, 63, 64, 65, 150])
+def test_simulate_batch_runs_to_the_cap(max_steps):
+    starts, freqs, params = batch_rows(7, seed=3, max_steps=max_steps, conv_tol=0.0)
+    for traj, init, f, p in zip(simulate_batch(starts, freqs, params),
+                                starts, freqs, params):
+        assert traj.n_steps == max_steps and traj.stop_reason == "max_steps"
+        assert_same_run(traj, init, f, p)
+
+
+def test_simulate_batch_divergent_row_among_converging_rows():
+    drift = (PhaseConfig([-1.0, 1.0]), NaturalFrequencies([-200.0, 200.0]),
+             SimParams(coupling=1e-6, step_size=1.0, max_steps=100_000))
+    calm = [(PhaseConfig([-a, a]), NaturalFrequencies.zero(2),
+             SimParams(coupling=1.0, step_size=h, max_steps=100_000))
+            for a, h in ((0.5, 0.1), (1.2, 0.01), (0.1, 0.3))]
+    rows = [calm[0], drift, *calm[1:]]
+    results = simulate_batch(*zip(*rows))
+    assert isinstance(results[1], DivergenceError)
+    with pytest.raises(DivergenceError) as exc:
+        simulate(*drift)
+    assert results[1].step == exc.value.step == 5000
+    for traj, row in zip(results[:1] + results[2:], calm):
+        assert traj.stop_reason == "grad_norm"
+        assert_same_run(traj, *row)
+
+
+def test_guard_skips_the_initial_state():
+    # the guard checks the iterates, not the given start
+    far = (PhaseConfig([2e6, 2e6 + 0.1]), NaturalFrequencies.zero(2),
+           SimParams(coupling=1.0, step_size=0.1, max_steps=10))
+    with pytest.raises(DivergenceError) as exc:
+        simulate(*far)
+    assert exc.value.step == 1
+    assert simulate_batch(*zip(far))[0].step == 1
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_simulate_batch_compaction_keeps_rows_exact(n, monkeypatch):
+    # six of eight rows stop early, so the stored blocks are compacted to
+    # the two long rows, which must still match their single runs
+    compacted = []
+    gather = integrate._gather
+
+    def counted(history, rows, count):
+        if np.ndim(rows):
+            compacted.append(len(rows))
+        return gather(history, rows, count)
+    monkeypatch.setattr(integrate, "_gather", counted)
+    rng = np.random.default_rng(n)
+    starts = [inits.random_arc(n, 2.0, rng) for _ in range(8)]
+    freqs = [inits.uniform_frequencies(n, 0.1, rng) for _ in range(8)]
+    params = [SimParams(k, 0.05, max_steps=5000)
+              for k in (4.0, 0.05, 3.0, 2.0, 0.08, 5.0, 2.5, 3.5)]
+    trajs = simulate_batch(starts, freqs, params)
+    assert compacted and compacted[0] <= 4
+    long_rows = [1, 4]
+    assert min(trajs[i].n_steps for i in long_rows) > 2 * integrate.BLOCK_STEPS + max(
+        t.n_steps for i, t in enumerate(trajs) if i not in long_rows)
+    for traj, init, f, p in zip(trajs, starts, freqs, params):
+        assert_same_run(traj, init, f, p)
+        assert traj.phases.flags.c_contiguous
+
+
+def test_simulate_batch_checks_its_rows():
+    a = (PhaseConfig([0.1, -0.1]), NaturalFrequencies.zero(2), SimParams(1.0, 0.1))
+    b = (PhaseConfig([0.1, 0.0, -0.1]), NaturalFrequencies.zero(3), SimParams(1.0, 0.1))
+    c = (PhaseConfig([0.1, -0.1]), NaturalFrequencies.zero(2),
+         SimParams(1.0, 0.1, max_steps=10))
+    assert simulate_batch([], [], []) == []
+    for rows in ((a, b), (a, c)):
+        with pytest.raises(ValueError, match="batch rows need"):
+            simulate_batch(*zip(*rows))
+    with pytest.raises(ValueError, match="length mismatch"):
+        simulate_batch([a[0]], [b[1]], [a[2]])
+    with pytest.raises(ValueError, match="one set"):
+        simulate_batch([a[0], a[0]], [a[1]], [a[2]])
 
 
 # ---------------------------------------------------------------------------

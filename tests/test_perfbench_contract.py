@@ -56,3 +56,20 @@ def test_sweep_reaches_the_traced_names(tmp_path, monkeypatch):
     for name in ("build_initial", "build_frequencies"):
         # each point's run builds its own inputs (the check pass may too)
         assert calls[name].count(True) == 2
+
+
+def test_run_reaches_the_traced_simulate(tmp_path, monkeypatch):
+    # perfbench's integrate.simulate span wraps cli.simulate, so kdgf run
+    # must step its trajectory through that module attribute
+    calls = []
+    simulate = cli.simulate
+
+    def counted(*args):
+        calls.append(args)
+        return simulate(*args)
+    monkeypatch.setattr(cli, "simulate", counted)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nmodel = identical\nn = 4\ninit = random-arc(3.0)\n"
+                   "coupling = 1.0\nstep = 0.01\nmax_steps = 50\n")
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "run"), "--quiet"]) == 0
+    assert len(calls) == 1
