@@ -131,10 +131,13 @@ def coupling_sums(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     C-contiguous (B, N) array is summed in the same order as the same row
     alone, so each row's result is bitwise that of the (N,) call.
     """
+    # row sums as a (B, 1) column; one configuration's as a scalar, which
+    # numpy takes faster than a (1,) array
+    rows = theta.ndim > 1
     s = np.sin(theta)
     c = np.cos(theta)
-    out = np.multiply(c, np.add.reduce(s, -1, keepdims=True), out=out)
-    s *= np.add.reduce(c, -1, keepdims=True)
+    out = np.multiply(c, np.add.reduce(s, -1, keepdims=rows), out=out)
+    s *= np.add.reduce(c, -1, keepdims=rows)
     out -= s
     return out
 

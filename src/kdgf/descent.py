@@ -130,31 +130,31 @@ def run_descent(problem: DescentProblem, x0, h: float, max_steps: int = 1_000_00
     reason = "max_steps"
     converged = False
     n = 0
-    while True:
-        with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow shows as a non-finite potential or gradient, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
             f = float(problem.potential(x))
             g = np.asarray(problem.gradient(x), dtype=float)
             gn = float(np.linalg.norm(g))
-        if not (math.isfinite(f) and math.isfinite(gn)):
-            raise DivergenceError(n, "non-finite potential or gradient")
-        f_vals.append(f)
-        g_norms.append(gn)
-        if gn < tol:
-            reason = "converged"
-            converged = True
-            break
-        if n >= max_steps:
-            break
-        with np.errstate(over="ignore"):
+            if not (math.isfinite(f) and math.isfinite(gn)):
+                raise DivergenceError(n, "non-finite potential or gradient")
+            f_vals.append(f)
+            g_norms.append(gn)
+            if gn < tol:
+                reason = "converged"
+                converged = True
+                break
+            if n >= max_steps:
+                break
             x_next = x - h * g
-        if not problem.in_domain(x_next):
+            if not problem.in_domain(x_next):
+                x = x_next
+                reason = "domain_exit"
+                break
             x = x_next
-            reason = "domain_exit"
-            break
-        x = x_next
-        if store_path:
-            path.append(x.copy())
-        n += 1
+            if store_path:
+                path.append(x.copy())
+            n += 1
 
     return DescentResult(
         f_values=np.asarray(f_vals),

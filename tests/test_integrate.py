@@ -1,5 +1,7 @@
 """Tests for the Euler stepper, the RK4 reference, and the error bound."""
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,30 +276,50 @@ def test_guard_skips_the_initial_state():
 
 
 @pytest.mark.parametrize("n", [8, 64])
-def test_simulate_batch_compaction_keeps_rows_exact(n, monkeypatch):
-    # six of eight rows stop early, so the stored blocks are compacted to
-    # the two long rows, which must still match their single runs
-    compacted = []
-    gather = integrate._gather
-
-    def counted(history, rows, count):
-        if np.ndim(rows):
-            compacted.append(len(rows))
-        return gather(history, rows, count)
-    monkeypatch.setattr(integrate, "_gather", counted)
+def test_simulate_batch_rows_leave_exactly(n):
+    # six of eight rows stop early and leave the batch; the two long rows
+    # step on alone and must still match their single runs
     rng = np.random.default_rng(n)
     starts = [inits.random_arc(n, 2.0, rng) for _ in range(8)]
     freqs = [inits.uniform_frequencies(n, 0.1, rng) for _ in range(8)]
     params = [SimParams(k, 0.05, max_steps=5000)
               for k in (4.0, 0.05, 3.0, 2.0, 0.08, 5.0, 2.5, 3.5)]
     trajs = simulate_batch(starts, freqs, params)
-    assert compacted and compacted[0] <= 4
     long_rows = [1, 4]
     assert min(trajs[i].n_steps for i in long_rows) > 2 * integrate.BLOCK_STEPS + max(
         t.n_steps for i, t in enumerate(trajs) if i not in long_rows)
     for traj, init, f, p in zip(trajs, starts, freqs, params):
         assert_same_run(traj, init, f, p)
         assert traj.phases.flags.c_contiguous
+
+
+def test_held_steps_bound_a_batch_of_rows_run_to_the_cap(monkeypatch):
+    # 16 rows of 2001 steps at N = 64 store 15.6 MiB of phases in all; past
+    # HELD_BYTES one row steps alone, so the batch never holds them all
+    monkeypatch.setattr(integrate, "HELD_BYTES", 2**20)
+    rng = np.random.default_rng(5)
+    starts = [inits.random_arc(64, 2.0, rng) for _ in range(16)]
+    freqs = [inits.uniform_frequencies(64, 0.5, rng) for _ in range(16)]
+    params = [SimParams(k, 0.05, max_steps=2000, conv_tol=0.0)
+              for k in np.linspace(0.1, 0.3, 16)]
+
+    def digest(traj):
+        return [hashlib.sha256(getattr(traj, name)).digest() for name in
+                ("phases", "grad_norms", "diameters", "potentials")]
+    digests = {}
+    tracemalloc.start()
+    try:
+        for row, traj in integrate._euler_rows(starts, freqs, params):
+            digests[row] = digest(traj)
+            del traj
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    for row, (init, f, p) in enumerate(zip(starts, freqs, params)):
+        single = simulate(init, f, p)
+        assert single.n_steps == 2000
+        assert digests[row] == digest(single)
 
 
 def test_simulate_batch_checks_its_rows():
