@@ -209,8 +209,7 @@ def classify_initial(init: PhaseConfig, coupling: float, *,
     t = 0.0
     window = 16
     while True:
-        v = velocity_arrays(y, omega, coupling)
-        gn = float(np.linalg.norm(v))
+        gn = _norm(velocity_arrays(y, omega, coupling))
         if gn < capture:
             eq, residual = _read_half_turn_grid(y)
             if residual < 0.02:
@@ -226,6 +225,19 @@ def classify_initial(init: PhaseConfig, coupling: float, *,
         for _ in range(window):
             y = rk4_step(y, omega, coupling, dt)
             t += dt
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)``, bit for bit while ``v @ v`` is finite; past
+    that, the norm of ``v`` scaled by its largest magnitude, so a velocity
+    of size K (the flow is scale-free in K t) never overflows."""
+    with np.errstate(over="ignore"):
+        sq = float(v @ v)
+    if sq < math.inf:
+        return math.sqrt(sq)
+    scale = float(np.abs(v).max())
+    u = v / scale
+    return scale * math.sqrt(float(u @ u))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ discrete dynamics, a Runge-Kutta reference for the continuous flow, and the
 classical global-error bound relating the two."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,11 @@ class DivergenceError(RuntimeError):
     def __init__(self, step: int, what: str = f"|theta| exceeded {DIVERGENCE_LIMIT:g}"):
         super().__init__(f"divergence: {what} at step {step}")
         self.step = step
+        self.what = what
+
+    def __reduce__(self):
+        # rebuilt from (step, what), so a pickled copy keeps both
+        return type(self), (self.step, self.what)
 
 
 @dataclass
@@ -352,7 +358,12 @@ def euler_error_bound(traj: Trajectory, oracle: Rk4Path,
     t_max = float(trunc.max())
 
     steps = np.arange(m + 1)
-    bound = (t_max / lipschitz) * np.expm1(lipschitz * steps * h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = np.expm1(lipschitz * steps * h)
+        bound = (t_max / lipschitz) * growth
+    # an envelope that overflows is +inf, which every finite error meets;
+    # a zero defect gives a zero envelope, never 0 * inf
+    bound[growth == math.inf] = math.inf if t_max > 0 else 0.0
     observed = np.abs(ref - traj.phases).max(axis=1)
     within = bool(np.all(observed <= bound * (1 + 1e-6) + 1e-300))
     return ErrorBoundReport(

@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line harness."""
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kdgf import NaturalFrequencies, SimParams, Trajectory, cli
+from kdgf import DivergenceError, NaturalFrequencies, SimParams, Trajectory, cli
 from kdgf.cli import main, write_trajectory_csv, write_trajectory_json
 
 
@@ -556,3 +561,144 @@ def test_error_bound_on_a_run_of_zero_steps(tmp_path):
     verdict = report["verdicts"][1]
     assert verdict == {"name": "error_bound", "passed": True,
                        "truncation_max": 0.0, "max_observed_error": 0.0}
+
+
+def _without_timestamp(path):
+    report = json.loads(path.read_text())
+    report.pop("timestamp")
+    return report
+
+
+@pytest.mark.parametrize("text,axis,values,rc,diverged", [
+    # K = 1e9 jumps past the divergence guard at the first step
+    (IDENTICAL_CFG.replace("near-sync(0.1)", "explicit(-0.5, 0.1, 0.4)")
+     .replace("max_steps = 20000", "max_steps = 300"), "K", "1.0,1e9,2.0", 3, [1]),
+    # two batches: N = 4 (points 0 and 2) and N = 6 (point 1)
+    (NONIDENTICAL_CFG.replace("near-sync(0.1)", "random-arc(2.0)")
+     .replace("omega = zero", "omega = uniform(0.2)")
+     .replace("max_steps = 20000", "max_steps = 400"), "N", "4,6,4", 0, []),
+    (DGF_CFG, "h", "0.05,0.02", 0, []),
+], ids=["K-with-divergent-point", "N-two-groups", "dgf-h"])
+def test_sweep_point_equals_a_single_run(tmp_path, text, axis, values, rc, diverged):
+    cfg_path = write_config(tmp_path / "run.ini", text)
+    out = tmp_path / "sweep"
+    assert main(["sweep", cfg_path, "--axis", axis, "--values", values,
+                 "--out", str(out), "--quiet"]) == rc
+    cfg = cli.load_config(cfg_path)
+    divergent = []
+    for i, v in enumerate(float(x) for x in values.split(",")):
+        c = cli._apply_axis(cfg, axis, v)
+        c.seed = cfg.seed ^ i
+        single, point = tmp_path / f"run_{i}", out / f"point_{i:03d}"
+        try:
+            cli.execute_run(c, single, quiet=True)
+        except DivergenceError:
+            divergent.append(i)
+            assert list(point.iterdir()) == []
+            continue
+        names = sorted(f.name for f in single.iterdir())
+        assert sorted(f.name for f in point.iterdir()) == names
+        for name in names:
+            if name == "report.json":
+                assert _without_timestamp(point / name) == _without_timestamp(single / name)
+            else:
+                assert (point / name).read_bytes() == (single / name).read_bytes()
+    assert divergent == diverged
+
+
+def test_classify_at_huge_coupling(tmp_path):
+    # the flow is scale-free in K t: at K = 1e300 this start synchronises as
+    # at K = 1, and the gradient norm must not overflow on the way
+    text = ("[run]\nmodel = identical\nn = 4\ninit = random-arc(3.0)\n"
+            "coupling = {}\nstep = 0.01\n")
+    kinds = []
+    for k in ("1.0", "1e300"):
+        cfg = write_config(tmp_path / "run.ini", text.format(k))
+        out = tmp_path / k
+        assert main(["classify", cfg, "--out", str(out), "--quiet"]) == 0
+        kinds.append(json.loads((out / "classification.json").read_text())["kind"])
+    assert kinds == ["sync", "sync"]
+
+
+@pytest.mark.parametrize("edits", [
+    {},
+    # a run with no error at all: the run and its reference stay at 0
+    {"n = 4": "n = 3", "near-bipolar(0.05)": "explicit(0.0, 0.0, 0.0)",
+     "max_steps = 3000": "max_steps = 100\nconv_tol = 0"},
+], ids=["near-bipolar", "zero-error"])
+def test_error_bound_with_huge_lipschitz(tmp_path, edits):
+    text = NEAR_BIPOLAR_CFG
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    cfg = write_config(tmp_path / "run.ini", text + "error_bound = lipschitz=1e300\n")
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
+    verdict = json.loads((out / "report.json").read_text())["verdicts"][1]
+    # an envelope that overflows is +inf, which every finite error meets
+    assert verdict["name"] == "error_bound" and verdict["passed"] is True
+    if edits:
+        assert verdict["truncation_max"] == 0.0 and verdict["max_observed_error"] == 0.0
+
+
+def test_trajectory_writers_stream_in_chunks(tmp_path):
+    # N = 64 and 20 001 steps: 10.2 MB of phases, files of about 30 MB.
+    # Writing the file a chunk of rows at a time keeps each writer's peak
+    # far below the file's size.
+    m, n = 20_001, 64
+    rng = np.random.default_rng(0)
+    traj = Trajectory(
+        phases=rng.uniform(-math.pi, math.pi, (m, n)),
+        params=SimParams(coupling=1.0, step_size=0.01, max_steps=m - 1),
+        freqs=NaturalFrequencies.zero(n),
+        diameters=rng.uniform(0.0, 2.0, m), potentials=rng.uniform(-1.0, 1.0, m),
+        grad_norms=rng.uniform(0.0, 1.0, m), order_r=rng.uniform(0.0, 1.0, m),
+        order_phi=rng.uniform(-math.pi, math.pi, m))
+    for write, name in ((write_trajectory_csv, "t.csv"), (write_trajectory_json, "t.json")):
+        tracemalloc.start()
+        try:
+            write(traj, tmp_path / name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / name).stat().st_size > 25e6
+        assert peak < 10e6, (name, peak)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 2**16])
+def test_chunked_writers_equal_whole_file_writers(tmp_path, monkeypatch, chunk):
+    # chunks of 1 value up to chunks larger than the file: the bytes are
+    # those of one repr per value, and of json.dumps of the whole table
+    monkeypatch.setattr(cli, "CHUNK_VALUES", chunk)
+    rng = np.random.default_rng(1)
+    m, n = 23, 5
+    traj = Trajectory(
+        phases=rng.normal(size=(m, n)) * 10.0 ** rng.integers(-300, 300, (m, n)),
+        params=SimParams(coupling=1.0, step_size=0.1, max_steps=m - 1),
+        freqs=NaturalFrequencies.zero(n), diameters=rng.normal(size=m),
+        potentials=np.where(np.arange(m) % 5, rng.normal(size=m), math.nan),
+        grad_norms=np.where(np.arange(m) % 7, rng.normal(size=m), math.inf),
+        order_r=rng.uniform(size=m), order_phi=rng.normal(size=m))
+    write_trajectory_csv(traj, tmp_path / "t.csv")
+    write_trajectory_json(traj, tmp_path / "t.json")
+    table = cli._trajectory_table(traj)
+    rows = ["n,t," + ",".join(f"theta_{j}" for j in range(n))
+            + ",diameter,potential,grad_norm,order_r,order_phi"]
+    for i in range(m):
+        values = [table["t"][i], *table["theta"][i],
+                  *(table[k][i] for k in ("diameter", "potential", "grad_norm",
+                                          "order_r", "order_phi"))]
+        rows.append(",".join([str(i)] + [repr(float(v)) for v in values]))
+    assert (tmp_path / "t.csv").read_text() == "\n".join(rows) + "\n"
+    expected = json.dumps({k: col.tolist() for k, col in table.items()}, sort_keys=True)
+    assert (tmp_path / "t.json").read_text() == expected
+
+
+def test_importing_the_cli_leaves_out_the_process_pool():
+    # sweeps import the pool when they need it; every kdgf run would
+    # otherwise pay for its import at start-up
+    code = ("import sys, kdgf.cli; print(sorted(m for m in sys.modules if m in "
+            "('concurrent.futures.process', 'multiprocessing')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out == "[]\n"

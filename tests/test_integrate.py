@@ -1,6 +1,7 @@
 """Tests for the Euler stepper, the RK4 reference, and the error bound."""
 import hashlib
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -125,6 +126,14 @@ def test_simulate_divergence_guard():
         simulate(PhaseConfig([-1.0, 1.0]), f, p)
     # |theta| = 1 + 200 m first exceeds 1e6 at step m = 5000
     assert exc.value.step == 5000
+
+
+def test_divergence_error_survives_pickling():
+    # sweep points run in worker processes, which hand a divergence back
+    for exc in (DivergenceError(5000), DivergenceError(7, "non-finite gradient")):
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is DivergenceError
+        assert copy.step == exc.step and str(copy) == str(exc)
 
 
 def test_simulate_deterministic_bytes():

@@ -29,15 +29,18 @@ def test_reference_count_reads_the_knots():
 def test_sweep_reaches_the_traced_names(tmp_path, monkeypatch):
     # perfbench times sweep points as cli.execute_run spans and input
     # building as cli.build_initial / cli.build_frequencies spans, so a sweep
-    # must call each of them through the module attribute.
-    calls = {"execute_run": [], "build_initial": [], "build_frequencies": []}
-    running = []  # names of the wrapped calls in progress
+    # must call each of them through the module attribute.  Sweep points run
+    # in worker processes, so each call is logged to a file, one line per call.
+    names = ("execute_run", "build_initial", "build_frequencies")
+    log = tmp_path / "calls.log"
+    running = []  # names of the wrapped calls in progress in this process
 
     def counted(name):
         fn = getattr(cli, name)
 
         def wrapper(*args, **kwargs):
-            calls[name].append("execute_run" in running)
+            with open(log, "a") as f:
+                f.write(f"{name} {'execute_run' in running}\n")
             running.append(name)
             try:
                 return fn(*args, **kwargs)
@@ -45,13 +48,17 @@ def test_sweep_reaches_the_traced_names(tmp_path, monkeypatch):
                 running.pop()
         monkeypatch.setattr(cli, name, wrapper)
 
-    for name in calls:
+    for name in names:
         counted(name)
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\nmodel = nonidentical\nn = 4\ninit = random-arc(2.0)\n"
                    "omega = uniform(0.2)\ncoupling = 1.0\nstep = 0.05\nmax_steps = 50\n")
     assert cli.main(["sweep", str(cfg), "--axis", "K", "--values", "1.0,2.0",
                      "--out", str(tmp_path / "sweep"), "--quiet"]) == 0
+    calls = {name: [] for name in names}
+    for line in log.read_text().splitlines():
+        name, inside = line.split()
+        calls[name].append(inside == "True")
     assert len(calls["execute_run"]) == 2
     for name in ("build_initial", "build_frequencies"):
         # each point's run builds its own inputs (the check pass may too)
