@@ -29,7 +29,6 @@ from .core import NaturalFrequencies, PhaseConfig, SimParams
 from .integrate import (
     DivergenceError,
     Trajectory,
-    _euler_rows,
     euler_error_bound,
     rk4_reference,
     simulate,
@@ -113,7 +112,10 @@ class RunConfig:
                 inspect.signature(CERTIFIERS[name]).bind(None, **kw)
             except TypeError as exc:
                 raise ConfigError(f"{name}: {exc}") from None
-            if "eps" in kw and not 0 < kw["eps"] < math.inf:
+            for key, value in kw.items():  # an integer option is always finite
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(f"{name} option {key} must be finite")
+            if "eps" in kw and not kw["eps"] > 0:
                 raise ConfigError(f"{name} option eps must be positive and finite")
 
 
@@ -274,6 +276,8 @@ def build_inputs(cfg: RunConfig) -> tuple:
         init, freqs = build_initial(cfg), build_frequencies(cfg)
     except ValueError as exc:  # an inits builder or a value record refused it
         raise ConfigError(str(exc)) from None
+    except MemoryError as exc:  # n too large to allocate
+        raise ConfigError(f"n = {cfg.n} is too large: {exc}") from None
     if cfg.model == "identical" and not freqs.is_identical:
         raise ConfigError("identical model requires omega = zero")
     return init, freqs, SimParams(coupling=cfg.coupling, step_size=cfg.step,
@@ -481,16 +485,14 @@ def _equilibrium_dict(eq) -> dict | None:
 
 
 def execute_run(cfg: RunConfig, out_dir: Path, fmt: str = "csv",
-                quiet: bool = False, stepped=None) -> dict:
-    """Run, certify and write one config.  ``stepped`` is the oscillator
-    run's result when a batch has already stepped it (a Trajectory, or the
-    DivergenceError to raise); None runs simulate."""
+                quiet: bool = False) -> dict:
+    """Run, certify and write one config."""
     inputs = build_inputs(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.model == "generic_dgf":
         report = _execute_descent(*inputs, cfg)
     else:
-        report = _execute_oscillators(*inputs, cfg.certifiers, out_dir, fmt, stepped)
+        report = _execute_oscillators(*inputs, cfg.certifiers, out_dir, fmt)
     report["config"] = dataclasses.asdict(cfg)
     report["timestamp"] = time.time()
     _atomic_write(out_dir / "report.json",
@@ -503,10 +505,8 @@ def execute_run(cfg: RunConfig, out_dir: Path, fmt: str = "csv",
 
 
 def _execute_oscillators(init, freqs, params, certifiers: dict, out_dir: Path,
-                         fmt: str, stepped=None) -> dict:
-    traj = simulate(init, freqs, params) if stepped is None else stepped
-    if isinstance(traj, DivergenceError):
-        raise traj
+                         fmt: str) -> dict:
+    traj = simulate(init, freqs, params)
 
     verdicts = [_verdict(name, traj, options) for name, options in certifiers.items()]
 
@@ -586,45 +586,26 @@ def _apply_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
     return c
 
 
-def _stepped(points):
-    """``(index, stepped)`` of every point, in the order each can be
-    certified: the points of each N step together as rows of one batch and
-    come as their rows finish; a generic_dgf point descends where it runs,
-    so its ``stepped`` is None."""
-    if points[0][0].model == "generic_dgf":
-        yield from ((i, None) for i in range(len(points)))
-        return
-    groups = {}
-    for i, (c, _) in enumerate(points):
-        groups.setdefault(c.n, []).append(i)
-    for group in groups.values():
-        starts, freqs, params = zip(*(points[i][1] for i in group))
-        for row, stepped in _euler_rows(starts, freqs, params):
-            yield group[row], stepped
-
-
-def _sweep_point(cfg: RunConfig, out_dir: Path, fmt: str, stepped):
-    """One sweep point in a worker process: its report, or the
-    DivergenceError its run raised.  ``execute_run`` is looked up when the
-    point runs, so a wrapped ``cli.execute_run`` is the one called."""
+def _sweep_point(cfg: RunConfig, out_dir: Path, fmt: str):
+    """One sweep point in a worker process, exactly as ``kdgf run`` does it:
+    its report, or the DivergenceError its run raised.  ``execute_run`` is
+    looked up when the point runs, so a wrapped ``cli.execute_run`` is the
+    one called."""
     try:
-        return execute_run(cfg, out_dir, fmt=fmt, quiet=True, stepped=stepped)
+        return execute_run(cfg, out_dir, fmt=fmt, quiet=True)
     except DivergenceError as exc:
         return exc
 
 
 def _run_points(points, out_dir: Path, fmt: str) -> list:
-    """Certify and write every point in worker processes, one per CPU up to
-    one per point; each point goes to a worker as soon as it is stepped.
-    At most one point per worker is in flight, so the parent holds no more
-    stepped trajectories than there are workers.  Returns each point's
-    report or DivergenceError, by index."""
+    """Step, certify and write every point in worker processes, one per CPU
+    up to one per point.  Returns each point's report or DivergenceError,
+    by index."""
     # imported here: the pool's modules would add to every kdgf run's start-up
     import multiprocessing
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures import ProcessPoolExecutor
 
     workers = min(len(points), len(os.sched_getaffinity(0)))
-    futures = {}
     # A forked worker's garbage collections would otherwise walk every object
     # it shares with the parent, copying each page they touch: that made a
     # point's certify-and-write 1.5 to 2 times slower than in the parent.
@@ -632,15 +613,11 @@ def _run_points(points, out_dir: Path, fmt: str) -> list:
     try:
         with ProcessPoolExecutor(workers,
                                  mp_context=multiprocessing.get_context("fork")) as pool:
-            for i, stepped in _stepped(points):
-                futures[i] = pool.submit(_sweep_point, points[i][0],
-                                         out_dir / f"point_{i:03d}", fmt, stepped)
-                running = [f for f in futures.values() if not f.done()]
-                if len(running) == workers:  # a worker must be free before the next point
-                    wait(running, return_when=FIRST_COMPLETED)
+            return list(pool.map(_sweep_point, points,
+                                 [out_dir / f"point_{i:03d}" for i in range(len(points))],
+                                 [fmt] * len(points)))
     finally:
         gc.unfreeze()
-    return [futures[i].result() for i in range(len(points))]
 
 
 def execute_sweep(cfg: RunConfig, axis: str, values, out_dir: Path,
@@ -651,7 +628,8 @@ def execute_sweep(cfg: RunConfig, axis: str, values, out_dir: Path,
     for i, v in enumerate(values):
         c = _apply_axis(cfg, axis, v)
         c.seed = cfg.seed ^ i  # documented per-point seed derivation
-        points.append((c, build_inputs(c)))  # a bad point fails before any point runs
+        build_inputs(c)  # a bad point fails before any point runs
+        points.append(c)
 
     reports, diverged = [], {}
     for i, result in enumerate(_run_points(points, out_dir, fmt)):

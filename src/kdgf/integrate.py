@@ -117,10 +117,13 @@ def simulate(init: PhaseConfig, freqs: NaturalFrequencies,
     ("max_steps"); conv_tol = 0 runs to the cap.  Raises DivergenceError if
     any phase magnitude passes the 1e6 guard.
     """
-    [(_, result)] = _euler_rows([init], [freqs], [params])
+    [result] = simulate_batch([init], [freqs], [params])
     if isinstance(result, DivergenceError):
         raise result
     return result
+
+
+BLOCK_STEPS = 64  # Euler steps between two applications of the guard and stop rule
 
 
 def simulate_batch(inits, freqs, params) -> list:
@@ -129,20 +132,6 @@ def simulate_batch(inits, freqs, params) -> list:
     N, ``max_steps`` and ``conv_tol``.  Returns one result per row: its
     Trajectory, bitwise the one simulate gives, or the DivergenceError
     simulate would raise.
-    """
-    results = [None] * len(inits)
-    for row, result in _euler_rows(inits, freqs, params):
-        results[row] = result
-    return results
-
-
-BLOCK_STEPS = 64  # Euler steps between two applications of the guard and stop rule
-HELD_BYTES = 16 * 2**20  # stored steps of unfinished rows past which one row steps alone
-
-
-def _euler_rows(inits, freqs, params):
-    """The Euler engine behind simulate and simulate_batch.  Yields
-    ``(row, result)`` as each row finishes, in finishing order.
 
     Rows step together in blocks of BLOCK_STEPS.  Each block is a
     C-contiguous (steps + 1, rows, N) array, so each row's reductions are
@@ -150,14 +139,13 @@ def _euler_rows(inits, freqs, params):
     ends, in the per-step order guard, gradient norm, step cap, so a row's
     result is exactly that of a step-by-step check; a row past the guard
     steps on to the end of its block, and those steps are discarded.
-    Each row keeps its own copy of its stored steps, freed when it finishes.
-    While the unfinished rows hold more than HELD_BYTES, only the first of
-    them steps on, so they hold at most about HELD_BYTES besides that row.
+    Each row keeps its own copy of its stored steps; every row's steps are
+    held until the call returns.
     """
     if not len(inits) == len(freqs) == len(params):
         raise ValueError("one set of frequencies and parameters per row")
     if not inits:
-        return
+        return []
     for init, f in zip(inits, freqs):
         _check_lengths(init, f)
     n, max_steps, tol = inits[0].n, params[0].max_steps, params[0].conv_tol
@@ -172,10 +160,10 @@ def _euler_rows(inits, freqs, params):
     h = np.array([[p.step_size] for p in params])
     stored = np.zeros(len(inits), dtype=int)  # steps each row has stored
     pieces = [[] for _ in inits]  # each row's stored (phases, gradient norms)
+    results = [None] * len(inits)
     live = list(range(len(inits)))  # the unfinished rows, ascending
-    held = 0  # bytes in the unfinished rows' pieces
     while live:
-        act = np.array(live if held <= HELD_BYTES else live[:1])
+        act = np.array(live)
         m0 = stored[act]
         steps = min(BLOCK_STEPS, max_steps + 1 - int(m0.max()))
         blk = np.empty((steps + 1, act.size, n))
@@ -199,32 +187,22 @@ def _euler_rows(inits, freqs, params):
         theta[act] = blk[steps]
         stored[act] += steps
 
-        finished = []  # (row, DivergenceError or (phases, gnorm, stop reason))
         for slot, row in enumerate(act.tolist()):
             if not stop[:, slot].any():
-                piece = (np.ascontiguousarray(blk[:steps, slot]),
-                         np.ascontiguousarray(gnorm[:, slot]))
-                pieces[row].append(piece)
-                held += piece[0].nbytes + piece[1].nbytes
+                pieces[row].append((np.ascontiguousarray(blk[:steps, slot]),
+                                    np.ascontiguousarray(gnorm[:, slot])))
                 continue
             j = int(stop[:, slot].argmax())  # the row's stop step is m0 + j
             if diverged[j, slot]:
-                result = DivergenceError(int(m0[slot]) + j)
+                results[row] = DivergenceError(int(m0[slot]) + j)
             else:
                 reason = "grad_norm" if converged[j, slot] else "max_steps"
                 phases, norms = zip(*pieces[row], (blk[:j + 1, slot], gnorm[:j + 1, slot]))
-                result = (np.concatenate(phases), np.concatenate(norms), reason)
-            held -= sum(ph.nbytes + gn.nbytes for ph, gn in pieces[row])
+                results[row] = _trajectory(np.concatenate(phases), np.concatenate(norms),
+                                           reason, freqs[row], params[row])
             pieces[row] = None
-            finished.append((row, result))
-
-        if finished:  # drop the finished rows before handing them out
-            done = {row for row, _ in finished}
-            live = [row for row in live if row not in done]
-        for row, result in finished:
-            if not isinstance(result, DivergenceError):
-                result = _trajectory(*result, freqs[row], params[row])
-            yield row, result
+            live.remove(row)
+    return results
 
 
 def _shared(column):

@@ -375,6 +375,35 @@ def test_malformed_ini_config_exits_2(tmp_path, old, new):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("certifier", [
+    "uniform_bound = l=nan",
+    "two_sided_decay = floor=nan, alpha=0.01, tol=0.2",
+    "diameter_decay = eps=4.0, rate=nan",
+    "bipolar_bounds = alpha=-inf",
+    "error_bound = lipschitz=inf",
+], ids=["bound-nan", "floor-nan", "rate-nan", "alpha-minus-inf", "lipschitz-inf"])
+def test_non_finite_certifier_option_exits_2(tmp_path, certifier):
+    # a NaN bound or floor passes its check vacuously, and a NaN rate would
+    # be written into report.json as a bare NaN
+    cfg = write_config(tmp_path / "run.ini",
+                       NEAR_BIPOLAR_CFG.replace("uniform_bound = l=1.0", certifier))
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["run"], ["classify"], ["sweep", "--axis", "N", "--values", "4,1e15"],
+], ids=["run", "classify", "sweep-N"])
+def test_huge_n_exits_2(tmp_path, capsys, args):
+    # numpy refuses an array of 8 PB at once, without trying to allocate it
+    n = 3 if args[0] == "sweep" else 10**15
+    cfg = write_config(tmp_path / "run.ini", IDENTICAL_CFG.replace("n = 3", f"n = {n}"))
+    out = tmp_path / "o"
+    assert main([args[0], cfg, *args[1:], "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert "n = 1000000000000000 is too large" in capsys.readouterr().err
+
+
 def test_integer_values_accept_whole_numbers(tmp_path):
     data = {"run": {**GOOD_RUN, "n": 3.0, "seed": "7", "max_steps": "2e2"},
             "certifiers": {"fit_decay": {"start": "1", "stop": 50.0}}}

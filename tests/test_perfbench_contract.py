@@ -27,11 +27,12 @@ def test_reference_count_reads_the_knots():
 
 
 def test_sweep_reaches_the_traced_names(tmp_path, monkeypatch):
-    # perfbench times sweep points as cli.execute_run spans and input
-    # building as cli.build_initial / cli.build_frequencies spans, so a sweep
-    # must call each of them through the module attribute.  Sweep points run
-    # in worker processes, so each call is logged to a file, one line per call.
-    names = ("execute_run", "build_initial", "build_frequencies")
+    # perfbench times sweep points as cli.execute_run spans, their stepping
+    # as cli.simulate spans and input building as cli.build_initial /
+    # cli.build_frequencies spans, so a sweep must call each of them through
+    # the module attribute.  Sweep points run in worker processes, so each
+    # call is logged to a file, one line per call.
+    names = ("execute_run", "simulate", "build_initial", "build_frequencies")
     log = tmp_path / "calls.log"
     running = []  # names of the wrapped calls in progress in this process
 
@@ -60,6 +61,8 @@ def test_sweep_reaches_the_traced_names(tmp_path, monkeypatch):
         name, inside = line.split()
         calls[name].append(inside == "True")
     assert len(calls["execute_run"]) == 2
+    # each point steps as kdgf run does, inside its execute_run
+    assert calls["simulate"] == [True, True]
     for name in ("build_initial", "build_frequencies"):
         # each point's run builds its own inputs (the check pass may too)
         assert calls[name].count(True) == 2
