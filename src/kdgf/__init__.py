@@ -34,6 +34,7 @@ from .descent import (
     run_descent,
 )
 from .analysis import (
+    Certificate,
     ClusterSpec,
     DecayFit,
     EquilibriumState,

@@ -267,15 +267,27 @@ def _subset_diameters(phases: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class OrderCheck:
+class Certificate:
+    """The verdict of a per-step scan: whether every step passed, else the
+    first step that failed and ``where`` it failed (the crossing pair, or
+    the name of the broken bound; each scan lists its names)."""
+
     passed: bool
     first_violation: int | None = None
-    pair: tuple[int, int] | None = None
+    where: str | tuple[int, int] | None = None
 
 
-def check_order_preservation(traj: Trajectory, subset) -> OrderCheck:
+def _first_failure(**ok_masks) -> Certificate:
+    """The earliest step at which a named per-step mask is False, ``where``
+    naming the mask, ties going to the first name in sort order; passed
+    when every mask holds."""
+    fails = [(int(np.argmin(ok)), name) for name, ok in ok_masks.items() if not ok.all()]
+    return Certificate(False, *min(fails)) if fails else Certificate(True)
+
+
+def check_order_preservation(traj: Trajectory, subset) -> Certificate:
     """Scan for the first step where the strict phase order of ``subset``
-    (sorted by its step-0 phases) breaks."""
+    (sorted by its step-0 phases) breaks; ``where`` is the crossing pair."""
     idx = subset_indices(subset, traj.n)
     order = idx[np.argsort(traj.phases[0, idx], kind="stable")]
     if idx.size > 1 and np.any(np.diff(traj.phases[0, order]) <= 0):
@@ -283,16 +295,10 @@ def check_order_preservation(traj: Trajectory, subset) -> OrderCheck:
     gaps = np.diff(traj.phases[:, order], axis=1)
     bad_rows = np.nonzero((gaps <= 0).any(axis=1))[0]
     if bad_rows.size == 0:
-        return OrderCheck(True)
+        return Certificate(True)
     row = int(bad_rows[0])
     col = int(np.nonzero(gaps[row] <= 0)[0][0])
-    return OrderCheck(False, row, (int(order[col]), int(order[col + 1])))
-
-
-@dataclass(frozen=True)
-class DecayCertificate:
-    passed: bool
-    first_violation: int | None
+    return Certificate(False, row, (int(order[col]), int(order[col + 1])))
 
 
 def _log_excess(values: np.ndarray, base: float, rate: float, h: float) -> np.ndarray:
@@ -306,18 +312,11 @@ def _log_excess(values: np.ndarray, base: float, rate: float, h: float) -> np.nd
     return out
 
 
-def _first_failure(**ok_masks):
-    """Earliest (step, name) at which a named per-step mask is False, ties
-    going to the first name in sort order; None when every mask holds."""
-    fails = [(int(np.argmin(ok)), name) for name, ok in ok_masks.items() if not ok.all()]
-    return min(fails, default=None)
-
-
 def certify_diameter_decay(traj: Trajectory, subset, eps: float,
-                           rate: float, floor: float = 0.0) -> DecayCertificate:
+                           rate: float, floor: float = 0.0) -> Certificate:
     """Certify subset diameter D(n) < D(0) * exp(-rate * n * h) at every step
-    n >= 1.  Exact zeros pass (fully collapsed); steps with D(n) < floor are
-    treated as converged-to-noise and skipped.
+    n >= 1 (``where`` "envelope").  Exact zeros pass (fully collapsed); steps
+    with D(n) < floor are treated as converged-to-noise and skipped.
 
     Requires the initial subset diameter to be below eps (the envelope's
     validity region); violated preconditions raise.
@@ -329,27 +328,19 @@ def certify_diameter_decay(traj: Trajectory, subset, eps: float,
     excess = _log_excess(d, float(d[0]), rate, traj.params.step_size)
     ok = (excess < 0) | (d < floor)
     ok[0] = True  # D(0) is the envelope's base
-    fail = _first_failure(envelope=ok)
-    return DecayCertificate(fail is None, None if fail is None else fail[0])
-
-
-@dataclass(frozen=True)
-class TwoSidedCertificate:
-    passed: bool
-    first_violation: int | None
-    failed_side: str | None  # "lower" | "upper"
-    checked_steps: int
+    return _first_failure(envelope=ok)
 
 
 def certify_two_sided_decay(traj: Trajectory, subset, coupling: float,
-                            alpha: float, floor: float = 1e-13) -> TwoSidedCertificate:
+                            alpha: float, floor: float = 1e-13) -> Certificate:
     """Two-sided envelope for the locked-group diameter:
 
         D(0) exp(-2 K n h)  <  D(n)  <  D(0) exp(-alpha n h)
 
-    strict for n >= 1, non-strict at n = 0.  Checking stops once D(n) drops
-    below ``floor`` (the comparison is vacuous at rounding noise).  A rate
-    alpha >= 2K would make the two sides contradict and is rejected.
+    strict for n >= 1, non-strict at n = 0; ``where`` is the broken side,
+    "lower" or "upper".  Steps with D(n) below ``floor`` are skipped (the
+    comparison is vacuous at rounding noise).  A rate alpha >= 2K would make
+    the two sides contradict and is rejected.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
@@ -363,31 +354,17 @@ def certify_two_sided_decay(traj: Trajectory, subset, coupling: float,
     h = traj.params.step_size
     active = d >= floor
     active[0] = False  # boundary step is an equality by construction
-    fail = _first_failure(
+    return _first_failure(
         lower=~active | (_log_excess(d, d0, 2.0 * coupling, h) > 0),
         upper=~active | (_log_excess(d, d0, alpha, h) < 0))
-    checked = int(active.sum())
-    if fail is None:
-        return TwoSidedCertificate(True, None, None, checked)
-    return TwoSidedCertificate(False, *fail, checked)
 
 
-@dataclass(frozen=True)
-class ContainmentReport:
-    """Per-step containment of the opposed oscillator inside the band
-    [min locked + pi, max locked + pi] (in effective phases)."""
-
-    all_contained: bool
-    first_exit: int | None
-    exit_side: str | None  # "below" | "above"
-
-
-def check_bipolar_containment(traj: Trajectory,
-                              eq: EquilibriumState) -> ContainmentReport:
+def check_bipolar_containment(traj: Trajectory, eq: EquilibriumState) -> Certificate:
     """Detect the first step (if any) where the opposed oscillator leaves the
-    half-turn band over the locked group.  Boundary contact counts as
-    contained (the next step resolves it); a 1e-12 margin absorbs the
-    rounding of the band edges."""
+    band [min locked + pi, max locked + pi] of effective phases, ``where``
+    "below" or "above" it.  Boundary contact counts as contained (the next
+    step resolves it); a 1e-12 margin absorbs the rounding of the band
+    edges."""
     if eq.kind != "bipolar":
         raise ValueError("containment check needs a bipolar equilibrium")
     ef = effective_series(traj, eq)
@@ -397,33 +374,22 @@ def check_bipolar_containment(traj: Trajectory,
     sync = ef[:, mask]
     lo = sync.min(axis=1) + math.pi
     hi = sync.max(axis=1) + math.pi
-    below = ef[:, b] < lo - 1e-12
-    above = ef[:, b] > hi + 1e-12
-    exits = np.nonzero(below | above)[0]
-    if exits.size == 0:
-        return ContainmentReport(True, None, None)
-    first = int(exits[0])
-    return ContainmentReport(False, first, "below" if below[first] else "above")
-
-
-@dataclass(frozen=True)
-class BipolarBoundsCertificate:
-    passed: bool
-    first_violation: int | None
-    which: str | None  # "opposed" | "locked"
+    return _first_failure(below=~(ef[:, b] < lo - 1e-12),
+                          above=~(ef[:, b] > hi + 1e-12))
 
 
 def certify_bipolar_bounds(traj: Trajectory, eq: EquilibriumState, alpha: float,
-                           eps: float) -> BipolarBoundsCertificate:
+                           eps: float) -> Certificate:
     """Residual envelopes for a contained opposed-oscillator run:
 
         |theta_hat_b(n) - (N-1)pi/N|  <  (N-1)/N * D(0) exp(-alpha n h)
         |theta_hat_j(n) +      pi/N|  < (2N-1)/N * D(0) exp(-alpha n h)
 
-    with D(0) the initial locked-group diameter.  The hypotheses (strict
-    initial order of the locked group, D(0) < eps, opposed oscillator within
-    eps/4 of its target, containment at every step) are validated first and
-    reported by name when unmet.
+    with D(0) the initial locked-group diameter; ``where`` is the broken
+    bound, "opposed" or "locked".  The hypotheses (strict initial order of
+    the locked group, D(0) < eps, opposed oscillator within eps/4 of its
+    target, containment at every step) are validated first and reported by
+    name when unmet.
     """
     if eq.kind != "bipolar":
         raise ValueError("bipolar bounds need a bipolar equilibrium")
@@ -443,9 +409,9 @@ def certify_bipolar_bounds(traj: Trajectory, eq: EquilibriumState, alpha: float,
     if not abs(ef[0, b] - (n - 1) * math.pi / n) < eps / 4.0:
         failures.append("opposed oscillator not within eps/4 of its target")
     containment = check_bipolar_containment(traj, eq)
-    if not containment.all_contained:
-        failures.append(
-            f"containment broken at step {containment.first_exit} ({containment.exit_side})")
+    if not containment.passed:
+        failures.append(f"containment broken at step {containment.first_violation} "
+                        f"({containment.where})")
     if failures:
         raise ValueError("hypotheses unmet: " + "; ".join(failures))
 
@@ -458,10 +424,7 @@ def certify_bipolar_bounds(traj: Trajectory, eq: EquilibriumState, alpha: float,
     locked_ok = locked_excess < 0
     opp_ok[0] = opp_excess[0] <= 0
     locked_ok[0] = locked_excess[0] <= 0
-    fail = _first_failure(opposed=opp_ok, locked=locked_ok)
-    if fail is None:
-        return BipolarBoundsCertificate(True, None, None)
-    return BipolarBoundsCertificate(False, *fail)
+    return _first_failure(opposed=opp_ok, locked=locked_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -538,15 +501,9 @@ def cluster_spec(n: int, n0: int, l: float, d_omega: float,
     )
 
 
-@dataclass(frozen=True)
-class ScanCertificate:
-    passed: bool
-    first_violation: int | None
-    curve: np.ndarray
-
-
-def certify_cluster_invariance(traj: Trajectory, spec: ClusterSpec) -> ScanCertificate:
-    """Check the first-n0 diameter stays strictly below l at every step."""
+def certify_cluster_invariance(traj: Trajectory, spec: ClusterSpec) -> Certificate:
+    """Check the first-n0 diameter stays strictly below l at every step
+    (``where`` "cluster")."""
     if traj.n != spec.n:
         raise ValueError("trajectory size does not match cluster spec")
     idx = np.arange(spec.n0)
@@ -562,16 +519,13 @@ def certify_cluster_invariance(traj: Trajectory, spec: ClusterSpec) -> ScanCerti
         problems.append(f"step size {h!r} not below step_max {spec.step_max!r}")
     if problems:
         raise ValueError("preconditions unmet: " + "; ".join(problems))
-    bad = np.nonzero(d >= spec.l)[0]
-    return ScanCertificate(bad.size == 0, int(bad[0]) if bad.size else None, d)
+    return _first_failure(cluster=~(d >= spec.l))
 
 
-def certify_uniform_bound(traj: Trajectory, l: float) -> ScanCertificate:
-    """Check the full phase diameter never exceeds 4*pi + 2*l."""
-    d = traj.diameters
-    cap = 4.0 * math.pi + 2.0 * l
-    bad = np.nonzero(d > cap)[0]
-    return ScanCertificate(bad.size == 0, int(bad[0]) if bad.size else None, d)
+def certify_uniform_bound(traj: Trajectory, l: float) -> Certificate:
+    """Check the full phase diameter never exceeds 4*pi + 2*l (``where``
+    "cap")."""
+    return _first_failure(cap=~(traj.diameters > 4.0 * math.pi + 2.0 * l))
 
 
 # ---------------------------------------------------------------------------

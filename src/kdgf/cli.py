@@ -159,19 +159,33 @@ def _object(key: str, value) -> dict:
     return value
 
 
+def _declared(what: str, keys, allowed):
+    """A key nothing would read is a ConfigError, not silently dropped."""
+    for key in keys:
+        if key not in allowed:
+            raise ConfigError(f"unknown {what} {key!r}")
+
+
+_SECTIONS = ("run", "certifiers")
+_RUN_KEYS = {f.name for f in dataclasses.fields(RunConfig)} - {"certifiers"}
+
+
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     if path.suffix == ".json":
         data = _object("the config", json.loads(path.read_text()))
+        _declared("top-level key", data, _SECTIONS)
         run = _object("run", data.get("run", {}))
         certs = {name: _object(f"certifier {name}", {} if opts is None else opts)
                  for name, opts in _object("certifiers", data.get("certifiers", {})).items()}
     else:
-        cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        # no default section: a [DEFAULT] is a section like any other, so is refused
+        cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), default_section="")
         try:
             cp.read(path)
+            _declared("section", cp.sections(), _SECTIONS)
             run = dict(cp["run"]) if "run" in cp else None
             certs = dict(cp["certifiers"]) if "certifiers" in cp else {}
         except configparser.Error as exc:
@@ -180,6 +194,7 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError("config needs a [run] section")
         certs = {name: _ini_options(val) for name, val in certs.items()}
 
+    _declared("[run] key", run, _RUN_KEYS)
     run = {k: v for k, v in run.items() if v is not None}
     cfg = RunConfig(model=str(run.get("model", "identical")).lower(),
                     n=_integer("n", run.get("n", 0)))
@@ -325,14 +340,14 @@ def _cert_two_sided_decay(traj, eps=0.3, alpha=None, floor=1e-13, tol=0.05):
         alpha = _default_alpha(traj.n, k, eps)
     subset = [i for i in range(traj.n) if i != eq.bipolar_index]
     cert = analysis.certify_two_sided_decay(traj, subset, k, alpha, floor=floor)
-    return {"passed": cert.passed, "alpha": alpha, "side": cert.failed_side,
+    return {"passed": cert.passed, "alpha": alpha, "side": cert.where,
             "first_violation": cert.first_violation}
 
 
 def _cert_bipolar_containment(traj, tol=0.05):
-    rep = analysis.check_bipolar_containment(traj, _need_bipolar_state(traj, tol))
-    return {"passed": rep.all_contained, "first_exit": rep.first_exit,
-            "exit_side": rep.exit_side}
+    cert = analysis.check_bipolar_containment(traj, _need_bipolar_state(traj, tol))
+    return {"passed": cert.passed, "first_exit": cert.first_violation,
+            "exit_side": cert.where}
 
 
 def _cert_bipolar_bounds(traj, eps=0.3, alpha=None, tol=0.05):
@@ -340,22 +355,23 @@ def _cert_bipolar_bounds(traj, eps=0.3, alpha=None, tol=0.05):
     if alpha is None:
         alpha = _default_alpha(traj.n, traj.params.coupling, eps)
     cert = analysis.certify_bipolar_bounds(traj, eq, alpha, eps)
-    return {"passed": cert.passed, "alpha": alpha, "which": cert.which,
+    return {"passed": cert.passed, "alpha": alpha, "which": cert.where,
             "first_violation": cert.first_violation}
 
 
 def _cert_cluster_invariance(traj, n0, l):
     spec = analysis.cluster_spec(traj.n, n0, l, traj.freqs.d_omega, traj.params.coupling)
     cert = analysis.certify_cluster_invariance(traj, spec)
+    cluster = traj.phases[:, :n0]
     return {"passed": cert.passed, "first_violation": cert.first_violation,
             "k_min": spec.k_min, "step_max": spec.step_max,
-            "max_cluster_diameter": float(cert.curve.max())}
+            "max_cluster_diameter": float((cluster.max(axis=1) - cluster.min(axis=1)).max())}
 
 
 def _cert_uniform_bound(traj, l):
     cert = analysis.certify_uniform_bound(traj, l)
     return {"passed": cert.passed, "first_violation": cert.first_violation,
-            "max_diameter": float(cert.curve.max())}
+            "max_diameter": float(traj.diameters.max())}
 
 
 def _cert_fit_decay(traj, start=0, stop=None):
@@ -484,11 +500,19 @@ def _equilibrium_dict(eq) -> dict | None:
     }
 
 
+def _make_out_dir(out_dir: Path):
+    """Create the output directory; one that cannot be made is a ConfigError."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from None
+
+
 def execute_run(cfg: RunConfig, out_dir: Path, fmt: str = "csv",
                 quiet: bool = False) -> dict:
     """Run, certify and write one config."""
     inputs = build_inputs(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     if cfg.model == "generic_dgf":
         report = _execute_descent(*inputs, cfg)
     else:
@@ -630,6 +654,7 @@ def execute_sweep(cfg: RunConfig, axis: str, values, out_dir: Path,
         c.seed = cfg.seed ^ i  # documented per-point seed derivation
         build_inputs(c)  # a bad point fails before any point runs
         points.append(c)
+    _make_out_dir(out_dir)
 
     reports, diverged = [], {}
     for i, result in enumerate(_run_points(points, out_dir, fmt)):
@@ -667,6 +692,7 @@ def execute_classify(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> dict
     if cfg.model != "identical":
         raise ConfigError("classification applies to the identical model")
     init, _, _ = build_inputs(cfg)
+    _make_out_dir(out_dir)
     try:
         cls = analysis.classify_initial(init, cfg.coupling)
         report = {
@@ -682,7 +708,6 @@ def execute_classify(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> dict
         }
     except ValueError as exc:
         report = {"kind": "unresolved", "error": str(exc)}
-    out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "classification.json",
                   json.dumps(report, sort_keys=True, indent=2))
     if not quiet:

@@ -27,15 +27,12 @@ def _phase_array(values, name="phases"):
 
 @dataclass(frozen=True)
 class PhaseConfig:
-    """Snapshot of N oscillator phases at iteration step ``n_step``."""
+    """Snapshot of N oscillator phases."""
 
     phases: np.ndarray
-    n_step: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "phases", _phase_array(self.phases))
-        if self.n_step < 0:
-            raise ValueError("n_step must be nonnegative")
 
     @property
     def n(self) -> int:

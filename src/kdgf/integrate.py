@@ -69,7 +69,7 @@ class Trajectory:
         return np.arange(self.phases.shape[0]) * self.params.step_size
 
     def config(self, n: int) -> PhaseConfig:
-        return PhaseConfig(self.phases[n], n_step=n)
+        return PhaseConfig(self.phases[n])
 
     def final_config(self) -> PhaseConfig:
         return self.config(self.n_steps)
@@ -86,7 +86,7 @@ def euler_step(config: PhaseConfig, freqs: NaturalFrequencies,
     v = velocity_arrays(config.phases, freqs.omega, params.coupling)
     v *= params.step_size
     v += config.phases
-    return PhaseConfig(v, n_step=config.n_step + 1)
+    return PhaseConfig(v)
 
 
 def _diagnostic_series(phases, omega, coupling):

@@ -264,7 +264,7 @@ def test_order_detector_reports_swap():
     check = check_order_preservation(traj, range(3))
     assert not check.passed
     assert check.first_violation == 2
-    assert check.pair == (0, 1)
+    assert check.where == (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +309,16 @@ def test_two_sided_envelope_near_bipolar():
     assert cert.passed
 
 
+@pytest.mark.parametrize("d,expected", [
+    ([0.1, 0.1, 0.1], (False, 1, "upper")),  # no decay at all
+    ([0.1, 0.1 * math.exp(-0.5), 1e-3], (False, 2, "lower")),  # under exp(-2K n h)
+])
+def test_two_sided_names_the_broken_side(d, expected):
+    rows = [[0.0, x, 0.5] for x in d]
+    cert = certify_two_sided_decay(synthetic_trajectory(rows, h=1.0), [0, 1], 1.0, 0.1)
+    assert (cert.passed, cert.first_violation, cert.where) == expected
+
+
 def test_two_sided_rejects_contradictory_alpha():
     traj = run_identical(near_bipolar(3, 0.05), k=1.0, h=0.005, steps=10,
                          conv_tol=0.0)
@@ -330,7 +340,7 @@ def test_containment_exact_bipolar_state():
     eq = EquilibriumState.bipolar([0, 0, 0], 2)
     rows = [eq.reconstruct()] * 10
     rep = check_bipolar_containment(synthetic_trajectory(rows), eq)
-    assert rep.all_contained
+    assert rep.passed
 
 
 def test_containment_detects_constructed_exit():
@@ -339,9 +349,9 @@ def test_containment_detects_constructed_exit():
     outside = base.copy()
     outside[2] = base[0] + math.pi - 0.05  # below the band
     rep = check_bipolar_containment(synthetic_trajectory([outside]), eq)
-    assert not rep.all_contained
-    assert rep.first_exit == 0
-    assert rep.exit_side == "below"
+    assert not rep.passed
+    assert rep.first_violation == 0
+    assert rep.where == "below"
 
 
 def test_containment_near_bipolar_run():
@@ -350,7 +360,7 @@ def test_containment_near_bipolar_run():
                          conv_tol=0.0)
     cls = classify_initial(near_bipolar(4, 0.05), k)
     rep = check_bipolar_containment(traj, cls.equilibrium)
-    assert rep.all_contained
+    assert rep.passed
 
 
 def test_bipolar_bounds_near_run_and_rate_cap():
@@ -388,7 +398,7 @@ def test_bipolar_bounds_reports_earliest_failure():
     shifted = exact + 0.015
     traj = synthetic_trajectory([start, exact, shifted], h=1.0)
     cert = certify_bipolar_bounds(traj, eq, alpha=0.1, eps=0.3)
-    assert (cert.passed, cert.first_violation, cert.which) == (False, 2, "opposed")
+    assert (cert.passed, cert.first_violation, cert.where) == (False, 2, "opposed")
 
 
 def test_bipolar_bounds_reports_unmet_hypotheses():

@@ -375,6 +375,38 @@ def test_malformed_ini_config_exits_2(tmp_path, old, new):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("name,text,key", [
+    ("bad.ini", IDENTICAL_CFG.replace("max_steps = 20000", "max_step = 5"), "max_step"),
+    ("bad.ini", IDENTICAL_CFG.replace("[certifiers]", "[certifier]"), "certifier"),
+    ("bad.ini", "[DEFAULT]\nseed = 3\n" + IDENTICAL_CFG, "DEFAULT"),
+    ("bad.json", json.dumps({"run": {**GOOD_RUN, "max_step": 5}}), "max_step"),
+    ("bad.json", json.dumps({"run": GOOD_RUN, "certifers": {"uniform_bound": {"l": 1}}}),
+     "certifers"),
+    ("bad.json", json.dumps({"run": {**GOOD_RUN, "certifiers": {}}}), "certifiers"),
+], ids=["ini-run-key", "ini-section", "ini-default-section", "json-run-key", "json-top-level-key",
+        "json-certifiers-in-run"])
+def test_undeclared_config_key_exits_2(tmp_path, capsys, name, text, key):
+    # a key nothing reads would otherwise drop a setting or every certifier
+    cfg = write_config(tmp_path / name, text)
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert not (tmp_path / "o").exists()
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["run"], ["classify"], ["sweep", "--axis", "K", "--values", "1.0,2.0"],
+], ids=["run", "classify", "sweep"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, args):
+    cfg = write_config(tmp_path / "run.ini", IDENTICAL_CFG)
+    afile = tmp_path / "afile"
+    afile.write_text("keep me\n")
+    assert main([args[0], cfg, *args[1:], "--out", str(afile), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot create output directory" in err and "Traceback" not in err
+    assert afile.read_text() == "keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.ini"]
+
+
 @pytest.mark.parametrize("certifier", [
     "uniform_bound = l=nan",
     "two_sided_decay = floor=nan, alpha=0.01, tol=0.2",
@@ -731,3 +763,93 @@ def test_importing_the_cli_leaves_out_the_process_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out == "[]\n"
+
+
+# The verdict keys and values of every trajectory scan, failing where it can,
+# pinned so a change to the analysis records cannot change report.json.
+SCAN_REPORTS = {
+    "nonidentical-failing": ("""
+[run]
+model = nonidentical
+n = 8
+init = random-arc(3.0)
+omega = uniform(1.0)
+coupling = 0.5
+step = 0.05
+max_steps = 500
+
+[certifiers]
+order_preservation =
+uniform_bound = l=0.0001
+diameter_decay = eps=4.0, rate=5.0
+""", [
+        {"name": "order_preservation", "passed": False, "first_violation": 2},
+        {"name": "uniform_bound", "passed": False, "first_violation": 285,
+         "max_diameter": 18.875687615914135},
+        {"name": "diameter_decay", "passed": False, "first_violation": 1, "rate": 5.0},
+    ]),
+    "two-sided-upper": ("""
+[run]
+model = identical
+n = 4
+init = near-bipolar(0.05)
+coupling = 0.02
+step = 0.005
+max_steps = 2000
+conv_tol = 0
+
+[certifiers]
+two_sided_decay = alpha=0.01, tol=0.2
+""", [
+        {"name": "two_sided_decay", "passed": False, "first_violation": 1,
+         "side": "upper", "alpha": 0.01},
+    ]),
+    "bipolar-locked": ("""
+[run]
+model = identical
+n = 4
+init = near-bipolar(0.05)
+coupling = 1
+step = 0.05
+max_steps = 3000
+conv_tol = 0
+
+[certifiers]
+bipolar_bounds = tol=3
+bipolar_containment = tol=3
+""", [
+        {"name": "bipolar_bounds", "passed": False, "first_violation": 2594,
+         "which": "locked", "alpha": 0.24440025832667445},
+        {"name": "bipolar_containment", "passed": True, "first_exit": None,
+         "exit_side": None},
+    ]),
+    "cluster-passing": ("""
+[run]
+model = nonidentical
+n = 5
+init = near-sync(0.5)
+omega = uniform(0.1)
+coupling = 2
+step = 0.01
+max_steps = 300
+
+[certifiers]
+cluster_invariance = n0=4, l=1.0
+uniform_bound = l=0.5
+""", [
+        {"name": "cluster_invariance", "passed": True, "first_violation": None,
+         "k_min": 0.2077246255706437, "step_max": 0.14201110624456123,
+         "max_cluster_diameter": 0.75},
+        {"name": "uniform_bound", "passed": True, "first_violation": None,
+         "max_diameter": 1.0},
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", list(SCAN_REPORTS))
+def test_scan_verdicts_keep_their_report_keys(tmp_path, case):
+    text, expected = SCAN_REPORTS[case]
+    cfg = write_config(tmp_path / "run.ini", text)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "report.json").read_text())["verdicts"] == expected

@@ -50,8 +50,6 @@ def test_phase_config_validation():
         PhaseConfig([0.1])  # needs N >= 2
     with pytest.raises(ValueError):
         PhaseConfig([0.1, np.nan])
-    with pytest.raises(ValueError):
-        PhaseConfig([0.1, 0.2], n_step=-1)
     c = PhaseConfig([0.1, 0.2])
     with pytest.raises(ValueError):
         c.phases[0] = 5.0  # immutable
