@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PhaseConfig, mean_field, subset_indices, velocity_arrays
-from .integrate import Trajectory, rk4_step
+from .integrate import RK4_STEP, Trajectory, rk4_step
 
 # ---------------------------------------------------------------------------
 # equilibrium states
@@ -170,10 +170,11 @@ def classify_initial(init: PhaseConfig, coupling: float, *,
                      t_max: float | None = None) -> InitialClassification:
     """Classify zero-mean identical-frequency initial data.
 
-    Runs the RK4 continuous-flow reference at dt = 0.1/K; whenever the
-    gradient norm dips below the capture threshold the state is matched
-    against the single-opposed-oscillator grid and classified by parity of
-    the half-turn counts, accepting a worst phase residual below 0.02.
+    Runs the RK4 continuous flow at dt = RK4_STEP/K = 0.1/K, kdgf's one RK4
+    step rule with no frequency spread; whenever the gradient norm dips
+    below the capture threshold the state is matched against the
+    single-opposed-oscillator grid and classified by parity of the half-turn
+    counts, accepting a worst phase residual below 0.02.
     Capturing at the threshold (rather than insisting on grad_norm < 1e-10)
     matters because opposed-oscillator states are saddle points: rounding
     noise grows at rate K and ejects any double-precision trajectory long
@@ -195,7 +196,7 @@ def classify_initial(init: PhaseConfig, coupling: float, *,
             "degenerate", None, None,
             ClassificationWitness(0.0, math.nan, math.nan, r0))
 
-    dt = 0.1 / coupling
+    dt = RK4_STEP / coupling
     t_max = t_max if t_max is not None else 1e3 / coupling
     # The capture threshold must be loose enough that an opposed-oscillator
     # saddle is matched before rounding noise (growing at rate K) ejects the

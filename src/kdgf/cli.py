@@ -31,6 +31,7 @@ from .integrate import (
     Trajectory,
     euler_error_bound,
     rk4_reference,
+    rk4_substeps,
     simulate,
 )
 
@@ -382,19 +383,25 @@ def _cert_fit_decay(traj, start=0, stop=None):
 
 
 def _cert_error_bound(traj, lipschitz=None, max_steps=20_000):
-    # the reference takes 10 RK4 substeps per Euler step; cost grows with the run
+    # the reference takes `substeps` RK4 steps per Euler step; its cost is
+    # capped at the RK4 work of 10 substeps for each of max_steps steps
     if traj.n_steps > max_steps:
         raise ValueError("run too long for the reference integration")
     if lipschitz is None:
         lipschitz = 2.0 * traj.params.coupling
     if not lipschitz > 0:  # known before the reference is built
         raise ValueError("lipschitz must be positive")
-    oracle = rk4_reference(traj.config(0), traj.freqs, traj.params.coupling,
-                           traj.params.step_size, traj.n_steps)
+    h = traj.params.step_size
+    substeps = rk4_substeps(h, traj.params.coupling, traj.freqs)
+    if traj.n_steps * substeps > 10 * max_steps:
+        raise ValueError(f"run too long for the reference integration: {traj.n_steps} "
+                         f"steps of {substeps} RK4 substeps exceed 10 * max_steps")
+    oracle = rk4_reference(traj.config(0), traj.freqs, traj.params.coupling, h, traj.n_steps)
     rep = euler_error_bound(traj, oracle, lipschitz)
     return {"passed": rep.within_bound,
             "truncation_max": rep.truncation_max,
-            "max_observed_error": float(rep.observed_error.max())}
+            "max_observed_error": float(rep.observed_error.max()),
+            "substeps": oracle.substeps}
 
 
 # options read as integers; the rest are floats

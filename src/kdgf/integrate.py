@@ -234,6 +234,9 @@ def _trajectory(phases, gnorm, reason, freqs, params) -> Trajectory:
 # continuous-time reference
 # ---------------------------------------------------------------------------
 
+RK4_STEP = 0.1  # no RK4 step takes dt * (K + d_omega) above this
+
+
 def rk4_step(theta: np.ndarray, omega: np.ndarray, coupling: float,
              dt: float) -> np.ndarray:
     """One classical 4th-order Runge-Kutta step of the continuous flow,
@@ -259,36 +262,52 @@ def rk4_step(theta: np.ndarray, omega: np.ndarray, coupling: float,
     return acc
 
 
+def rk4_substeps(h: float, coupling: float, freqs: NaturalFrequencies) -> int:
+    """RK4 substeps per step of size ``h``: the fewest, at least one, that
+    keep dt * (|K| + d_omega) at or below RK4_STEP, with dt = h / substeps."""
+    rate = abs(coupling) + freqs.d_omega
+    work = h * rate / RK4_STEP
+    if not math.isfinite(work):
+        raise ValueError("the step size and the rate K + d_omega must be finite")
+    s = max(1, math.ceil(work))
+    while h / s * rate > RK4_STEP:  # work rounded down by a last bit
+        s += 1
+    return s
+
+
 @dataclass(frozen=True)
 class Rk4Path:
     """Continuous-flow reference on an Euler grid: row i of ``knots`` is the
-    state at t = i * step_size."""
+    state at t = i * step_size, reached in ``substeps`` RK4 steps per row."""
 
     knots: np.ndarray
     step_size: float
+    substeps: int
 
 
 def rk4_reference(init: PhaseConfig, freqs: NaturalFrequencies, coupling: float,
                   h: float, n_steps: int) -> Rk4Path:
     """Integrate the continuous flow over ``n_steps`` Euler steps of size
-    ``h``, each taken as 10 RK4 substeps of h/10; only the state after each
-    whole step is kept, so the reference holds (n_steps + 1) rows.
+    ``h``, each taken as ``rk4_substeps(h, coupling, freqs)`` RK4 steps of
+    equal size; only the state after each whole step is kept, so the
+    reference holds (n_steps + 1) rows.
     """
     _check_lengths(init, freqs)
     if not (h > 0 and n_steps >= 0):
         raise ValueError("h must be positive and n_steps nonnegative")
-    dt = h / 10.0
+    s = rk4_substeps(h, coupling, freqs)
+    dt = h / s
     knots = np.empty((n_steps + 1, init.n))
     knots[0] = init.phases
     y = init.phases
     for i in range(1, n_steps + 1):
-        for _ in range(10):
+        for _ in range(s):
             y = rk4_step(y, freqs.omega, coupling, dt)
         if not np.all(np.isfinite(y)):
             raise ValueError(f"non-finite reference state at step {i}")
         knots[i] = y
     knots.setflags(write=False)
-    return Rk4Path(knots=knots, step_size=h)
+    return Rk4Path(knots=knots, step_size=h, substeps=s)
 
 
 # ---------------------------------------------------------------------------

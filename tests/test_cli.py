@@ -621,7 +621,38 @@ def test_error_bound_on_a_run_of_zero_steps(tmp_path):
     assert report["trajectory"]["steps"] == 0
     verdict = report["verdicts"][1]
     assert verdict == {"name": "error_bound", "passed": True,
-                       "truncation_max": 0.0, "max_observed_error": 0.0}
+                       "truncation_max": 0.0, "max_observed_error": 0.0, "substeps": 1}
+
+
+# hK = 1.9: each Euler step takes 19 RK4 substeps
+FAST_STEP_CFG = (NEAR_BIPOLAR_CFG.replace("step = 0.01", "step = 1.9")
+                 .replace("max_steps = 3000", "max_steps = {}\nconv_tol = 0"))
+
+
+def test_error_bound_over_its_substep_budget_builds_no_reference(tmp_path, monkeypatch):
+    def no_reference(*args, **kwargs):
+        raise AssertionError("the verdict is known before the reference")
+
+    monkeypatch.setattr(cli, "rk4_reference", no_reference)
+    # 60 steps of 19 substeps exceed the RK4 work of 10 substeps for 100 steps
+    cfg = write_config(tmp_path / "run.ini",
+                       FAST_STEP_CFG.format(60) + "error_bound = max_steps=100\n")
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
+    verdict = json.loads((out / "report.json").read_text())["verdicts"][1]
+    assert verdict["name"] == "error_bound" and verdict["passed"] is False
+    assert "60 steps of 19 RK4 substeps" in verdict["reason"]
+
+
+def test_error_bound_at_its_substep_budget_runs(tmp_path):
+    # 190 steps of 19 substeps: exactly the work of 10 substeps for 361 steps
+    cfg = write_config(tmp_path / "run.ini",
+                       FAST_STEP_CFG.format(190) + "error_bound = max_steps=361\n")
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
+    verdict = json.loads((out / "report.json").read_text())["verdicts"][1]
+    assert verdict["name"] == "error_bound" and verdict["passed"] is True
+    assert verdict["substeps"] == 19
 
 
 def _without_timestamp(path):

@@ -270,3 +270,41 @@ def test_mean_field_kernel_matches_pairwise_oracle(n, kind):
     assert np.abs(coupling_sums(theta) - pairwise_coupling_sums(theta)).max() <= tol
     pot = potential_arrays(theta, omega, k)
     assert abs(pot - pairwise_potential(theta, omega, k)) <= k * tol
+
+
+def explicit_hessian(theta, k):
+    """(K/N) [diag(Re(conj(u_i) Z)) - (c c^T + s s^T)], u = e^{i theta}, Z = sum u_j."""
+    u = np.exp(1j * theta)
+    c, s = np.cos(theta), np.sin(theta)
+    return k / theta.size * (np.diag((np.conj(u) * u.sum()).real)
+                             - (np.outer(c, c) + np.outer(s, s)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_explicit_hessian_matches_gradient_differences(n):
+    # columns of the Hessian as central differences of the gradient
+    rng = np.random.default_rng(n)
+    theta = rng.uniform(-math.pi, math.pi, n)
+    freqs = NaturalFrequencies(inits.uniform_frequencies(n, 0.4, rng).omega)
+    k, eps = 1.7, 1e-5
+    fd = np.empty((n, n))
+    for j in range(n):
+        tp, tm = theta.copy(), theta.copy()
+        tp[j] += eps
+        tm[j] -= eps
+        fd[:, j] = (kuramoto_gradient(PhaseConfig(tp), freqs, k)
+                    - kuramoto_gradient(PhaseConfig(tm), freqs, k)) / (2 * eps)
+    np.testing.assert_allclose(fd, explicit_hessian(theta, k), rtol=0, atol=1e-6)
+
+
+def test_hessian_largest_eigenvalue_is_at_most_k_r():
+    # lambda_max <= K r: the rank-2 term is positive semidefinite and
+    # |Re(conj(u_i) Z)| <= |Z| = N r
+    rng = np.random.default_rng(7)
+    k = 1.3
+    for _ in range(500):
+        n = int(rng.integers(2, 12))
+        theta = rng.uniform(-math.pi, math.pi, n)
+        lam = np.linalg.eigvalsh(explicit_hessian(theta, k))[-1]
+        r = order_parameter(PhaseConfig(theta)).r
+        assert lam <= k * r + 1e-12 * k * n, (n, lam, k * r)

@@ -336,29 +336,58 @@ def test_rk4_two_oscillator_closed_form():
 
 
 def test_rk4_order_of_convergence():
+    # at h = 0.02 and 0.01 (hK <= 0.1) each Euler step is one RK4 step
     d0, k, t = 1.0, 1.0, 1.0
     init = PhaseConfig([-d0 / 2, d0 / 2])
-    ref = rk4_reference(init, NaturalFrequencies.zero(2), k, h=t / 1000, n_steps=1000).knots[-1]
+    ref = init.phases
+    for _ in range(10_000):
+        ref = rk4_step(ref, np.zeros(2), k, t / 10_000)
     errs = []
-    for n_steps in (5, 10):  # RK4 substeps of 0.02 and 0.01
-        got = rk4_reference(init, NaturalFrequencies.zero(2), k, h=t / n_steps,
-                            n_steps=n_steps).knots[-1]
-        errs.append(np.abs(got - ref).max())
+    for n_steps in (50, 100):
+        path = rk4_reference(init, NaturalFrequencies.zero(2), k, h=t / n_steps,
+                             n_steps=n_steps)
+        assert path.substeps == 1
+        errs.append(np.abs(path.knots[-1] - ref).max())
     ratio = errs[0] / errs[1]
     assert 10 < ratio < 25  # 4th order: ~16x per halving
 
 
-def test_rk4_reference_rows_are_whole_steps_of_ten_substeps():
+def test_rk4_reference_rows_are_whole_steps_of_its_substeps():
     init = PhaseConfig([-0.8, 0.15, 0.65])
-    omega = np.array([0.3, -0.1, -0.2])
-    h, k = 0.05, 1.3
-    path = rk4_reference(init, NaturalFrequencies(omega), k, h=h, n_steps=4)
-    assert path.knots.shape == (5, 3) and path.step_size == h
-    y = init.phases
-    for i in range(5):
-        assert np.array_equal(path.knots[i], y)
-        for _ in range(10):
-            y = rk4_step(y, omega, k, h / 10)
+    for omega, h, k, substeps in (
+            ([0.3, -0.1, -0.2], 0.05, 1.3, 1),  # dt (K + d_omega) = 0.09
+            ([0.0, 0.0, 0.0], 0.5, 1.0, 5),
+            ([0.0, 0.0, 0.0], 0.95, 2.0, 19)):
+        omega = np.array(omega)
+        path = rk4_reference(init, NaturalFrequencies(omega), k, h=h, n_steps=4)
+        assert path.knots.shape == (5, 3) and path.step_size == h
+        assert path.substeps == substeps
+        y = init.phases
+        for i in range(5):
+            assert np.array_equal(path.knots[i], y)
+            for _ in range(substeps):
+                y = rk4_step(y, omega, k, h / substeps)
+
+
+@pytest.mark.parametrize("h,k,d_omega,substeps", [
+    (0.01, 1.0, 0.0, 1), (0.1, 1.0, 0.0, 1), (0.1, 1.0, 1.0, 2), (0.5, 1.0, 0.0, 5),
+    (1.9, 1.0, 0.0, 19), (0.3, 1.0, 0.0, 3), (0.7, 1.0, 0.0, 7), (1e-300, 1e300, 0.0, 10),
+    (0.01, 0.0, 0.0, 1),
+    (0.8, 2.75, 0.0, 23),  # h K / 0.1 rounds to 22, but 0.8 / 22 * 2.75 > 0.1
+])
+def test_rk4_substeps_keep_every_step_within_the_rule(h, k, d_omega, substeps):
+    freqs = NaturalFrequencies(np.array([-d_omega / 2, d_omega / 2]))
+    s = integrate.rk4_substeps(h, k, freqs)
+    assert s == substeps
+    rate = k + d_omega
+    assert h / s * rate <= integrate.RK4_STEP
+    assert s == 1 or h / (s - 1) * rate > integrate.RK4_STEP
+
+
+@pytest.mark.parametrize("h,k", [(math.inf, 1.0), (0.1, math.inf), (1e300, 1e300)])
+def test_rk4_reference_rejects_a_non_finite_substep_count(h, k):
+    with pytest.raises(ValueError, match="finite"):
+        rk4_reference(PhaseConfig([-0.5, 0.5]), NaturalFrequencies.zero(2), k, h=h, n_steps=1)
 
 
 # ---------------------------------------------------------------------------
@@ -416,3 +445,37 @@ def test_error_bound_validations():
                               NaturalFrequencies.zero(3), 1.0, h, n_steps)
         with pytest.raises(ValueError, match="mismatch"):
             euler_error_bound(traj, other, lipschitz=2.0)
+
+
+def _fine_reference(init, freqs, k, h, n_steps, substeps):
+    """rk4_reference's rows, each reached in ``substeps`` RK4 steps."""
+    knots = np.empty((n_steps + 1, init.n))
+    knots[0] = y = init.phases
+    for i in range(1, n_steps + 1):
+        for _ in range(substeps):
+            y = rk4_step(y, freqs.omega, k, h / substeps)
+        knots[i] = y
+    return integrate.Rk4Path(knots, h, substeps)
+
+
+def test_error_bound_reference_within_stated_tolerance_of_a_finer_one():
+    # The stated tolerance of the substep rule: error_bound's figures on the
+    # reference agree with those on one of 40 times as many substeps to 1e-4
+    # relative (measured worst 1.3e-5, at hK = 0.1 with one substep).
+    steps = {0.01: 20, 0.1: 10, 0.5: 4, 1.9: 2}  # the fine reference's cost grows with hK
+    k = 1.0
+    for n in (4, 16):
+        for hk, n_steps in steps.items():
+            for d_omega in (0.0, 1.0):
+                init = inits.random_arc(n, 3.0, np.random.default_rng(n))
+                freqs = NaturalFrequencies(np.linspace(-d_omega / 2, d_omega / 2, n))
+                h = hk / k
+                traj = simulate(init, freqs, SimParams(k, h, max_steps=n_steps, conv_tol=0.0))
+                ref = rk4_reference(init, freqs, k, h, n_steps)
+                fine = _fine_reference(init, freqs, k, h, n_steps, 40 * ref.substeps)
+                got, want = (euler_error_bound(traj, r, 2.0 * k) for r in (ref, fine))
+                case = (n, hk, d_omega, ref.substeps)
+                assert got.truncation_max == pytest.approx(want.truncation_max, rel=1e-4), case
+                assert got.observed_error.max() == pytest.approx(
+                    want.observed_error.max(), rel=1e-4), case
+                assert got.within_bound == want.within_bound, case
