@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhaseConfig, mean_field, subset_indices, velocity_arrays
-from .integrate import RK4_STEP, Trajectory, rk4_step
+from .core import (PhaseConfig, mean_field, order_from_mean_field, span, subset_indices,
+                   velocity_arrays)
+from .integrate import RK4_STEP, Trajectory, rk4_flow
 
 # ---------------------------------------------------------------------------
 # equilibrium states
@@ -151,10 +152,9 @@ def _read_half_turn_grid(y: np.ndarray):
     Returns (EquilibriumState, worst phase residual), or (None, inf) when
     the mean field vanishes or more than one half-turn count is odd (a
     higher-order saddle with several opposed members)."""
-    z = mean_field(y) / y.size
-    if abs(z) < 1e-14:
+    r, phi_hat = order_from_mean_field(mean_field(y), y.size)
+    if r < 1e-14:
         return None, math.inf
-    phi_hat = math.atan2(z.imag, z.real)
     a = np.round((y - phi_hat) / math.pi).astype(np.int64)
     odd = np.nonzero(a % 2 != 0)[0]
     if odd.size == 0:
@@ -206,10 +206,8 @@ def classify_initial(init: PhaseConfig, coupling: float, *,
     capture = max(1e-4 * coupling, 1e-10)
 
     omega = np.zeros(n)
-    y = phases.astype(float).copy()
-    t = 0.0
-    window = 16
-    while True:
+    # the capture rule is checked every 16 RK4 steps
+    for y, t in rk4_flow(phases, omega, coupling, dt, 16):
         gn = _norm(velocity_arrays(y, omega, coupling))
         if gn < capture:
             eq, residual = _read_half_turn_grid(y)
@@ -223,9 +221,6 @@ def classify_initial(init: PhaseConfig, coupling: float, *,
         if t >= t_max:
             raise ValueError(
                 f"unresolved classification (grad_norm={gn:.3e} at t={t:.3g})")
-        for _ in range(window):
-            y = rk4_step(y, omega, coupling, dt)
-            t += dt
 
 
 def _norm(v: np.ndarray) -> float:
@@ -261,11 +256,6 @@ def match_equilibrium(final: PhaseConfig, tol: float = 1e-6) -> EquilibriumState
 # ---------------------------------------------------------------------------
 # scan certificates over trajectories
 # ---------------------------------------------------------------------------
-
-def _subset_diameters(phases: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    sel = phases[:, idx]
-    return sel.max(axis=1) - sel.min(axis=1)
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -322,8 +312,7 @@ def certify_diameter_decay(traj: Trajectory, subset, eps: float,
     Requires the initial subset diameter to be below eps (the envelope's
     validity region); violated preconditions raise.
     """
-    idx = subset_indices(subset, traj.n)
-    d = _subset_diameters(traj.phases, idx)
+    d = span(traj.phases[:, subset_indices(subset, traj.n)])
     if not d[0] < eps:
         raise ValueError("initial diameter exceeds eps")
     excess = _log_excess(d, float(d[0]), rate, traj.params.step_size)
@@ -347,8 +336,7 @@ def certify_two_sided_decay(traj: Trajectory, subset, coupling: float,
         raise ValueError("alpha must be positive")
     if alpha >= 2.0 * coupling:
         raise ValueError("alpha >= 2K: upper envelope would cross the lower one")
-    idx = subset_indices(subset, traj.n)
-    d = _subset_diameters(traj.phases, idx)
+    d = span(traj.phases[:, subset_indices(subset, traj.n)])
     d0 = float(d[0])
     if not d0 > 0:
         raise ValueError("initial subset diameter must be positive")
@@ -360,23 +348,27 @@ def certify_two_sided_decay(traj: Trajectory, subset, coupling: float,
         upper=~active | (_log_excess(d, d0, alpha, h) < 0))
 
 
+def _opposed_and_locked(traj: Trajectory, eq: EquilibriumState):
+    """Effective phases of the opposed oscillator, one per step, and of the
+    locked group, one row per step."""
+    if eq.kind != "bipolar":
+        raise ValueError("the opposed-oscillator scans need a bipolar equilibrium")
+    ef = effective_series(traj, eq)
+    return ef[:, eq.bipolar_index], np.delete(ef, eq.bipolar_index, axis=1)
+
+
+def _containment(opposed: np.ndarray, locked: np.ndarray) -> Certificate:
+    return _first_failure(below=~(opposed < locked.min(axis=1) + math.pi - 1e-12),
+                          above=~(opposed > locked.max(axis=1) + math.pi + 1e-12))
+
+
 def check_bipolar_containment(traj: Trajectory, eq: EquilibriumState) -> Certificate:
     """Detect the first step (if any) where the opposed oscillator leaves the
     band [min locked + pi, max locked + pi] of effective phases, ``where``
     "below" or "above" it.  Boundary contact counts as contained (the next
     step resolves it); a 1e-12 margin absorbs the rounding of the band
     edges."""
-    if eq.kind != "bipolar":
-        raise ValueError("containment check needs a bipolar equilibrium")
-    ef = effective_series(traj, eq)
-    b = eq.bipolar_index
-    mask = np.ones(traj.n, dtype=bool)
-    mask[b] = False
-    sync = ef[:, mask]
-    lo = sync.min(axis=1) + math.pi
-    hi = sync.max(axis=1) + math.pi
-    return _first_failure(below=~(ef[:, b] < lo - 1e-12),
-                          above=~(ef[:, b] > hi + 1e-12))
+    return _containment(*_opposed_and_locked(traj, eq))
 
 
 def certify_bipolar_bounds(traj: Trajectory, eq: EquilibriumState, alpha: float,
@@ -392,24 +384,18 @@ def certify_bipolar_bounds(traj: Trajectory, eq: EquilibriumState, alpha: float,
     target, containment at every step) are validated first and reported by
     name when unmet.
     """
-    if eq.kind != "bipolar":
-        raise ValueError("bipolar bounds need a bipolar equilibrium")
+    opposed, locked = _opposed_and_locked(traj, eq)
     n = traj.n
-    b = eq.bipolar_index
-    ef = effective_series(traj, eq)
-    mask = np.ones(n, dtype=bool)
-    mask[b] = False
-    sync0 = ef[0, mask]
-    d0 = float(sync0.max() - sync0.min())
+    d0 = float(span(locked[0]))
 
     failures = []
-    if np.any(np.diff(np.sort(sync0)) <= 0):
+    if np.any(np.diff(np.sort(locked[0])) <= 0):
         failures.append("locked-group initial phases not strictly ordered")
     if not d0 < eps:
         failures.append("initial locked-group diameter not below eps")
-    if not abs(ef[0, b] - (n - 1) * math.pi / n) < eps / 4.0:
+    if not abs(opposed[0] - (n - 1) * math.pi / n) < eps / 4.0:
         failures.append("opposed oscillator not within eps/4 of its target")
-    containment = check_bipolar_containment(traj, eq)
+    containment = _containment(opposed, locked)
     if not containment.passed:
         failures.append(f"containment broken at step {containment.first_violation} "
                         f"({containment.where})")
@@ -417,9 +403,9 @@ def certify_bipolar_bounds(traj: Trajectory, eq: EquilibriumState, alpha: float,
         raise ValueError("hypotheses unmet: " + "; ".join(failures))
 
     h = traj.params.step_size
-    opp_excess = _log_excess(np.abs(ef[:, b] - (n - 1) * math.pi / n),
+    opp_excess = _log_excess(np.abs(opposed - (n - 1) * math.pi / n),
                              (n - 1) / n * d0, alpha, h)
-    locked_excess = _log_excess(np.abs(ef[:, mask] + math.pi / n).max(axis=1),
+    locked_excess = _log_excess(np.abs(locked + math.pi / n).max(axis=1),
                                 (2 * n - 1) / n * d0, alpha, h)
     opp_ok = opp_excess < 0
     locked_ok = locked_excess < 0
@@ -507,8 +493,7 @@ def certify_cluster_invariance(traj: Trajectory, spec: ClusterSpec) -> Certifica
     (``where`` "cluster")."""
     if traj.n != spec.n:
         raise ValueError("trajectory size does not match cluster spec")
-    idx = np.arange(spec.n0)
-    d = _subset_diameters(traj.phases, idx)
+    d = span(traj.phases[:, :spec.n0])
     d0, l = float(d[0]), float(spec.l)
     k, h = float(traj.params.coupling), float(traj.params.step_size)
     problems = []

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, descent, inits
-from .core import NaturalFrequencies, PhaseConfig, SimParams
+from .core import NaturalFrequencies, PhaseConfig, SimParams, row_chunks, span
 from .integrate import (
     DivergenceError,
     Trajectory,
@@ -363,10 +363,9 @@ def _cert_bipolar_bounds(traj, eps=0.3, alpha=None, tol=0.05):
 def _cert_cluster_invariance(traj, n0, l):
     spec = analysis.cluster_spec(traj.n, n0, l, traj.freqs.d_omega, traj.params.coupling)
     cert = analysis.certify_cluster_invariance(traj, spec)
-    cluster = traj.phases[:, :n0]
     return {"passed": cert.passed, "first_violation": cert.first_violation,
             "k_min": spec.k_min, "step_max": spec.step_max,
-            "max_cluster_diameter": float((cluster.max(axis=1) - cluster.min(axis=1)).max())}
+            "max_cluster_diameter": float(span(traj.phases[:, :n0]).max())}
 
 
 def _cert_uniform_bound(traj, l):
@@ -448,12 +447,6 @@ def _trajectory_table(traj: Trajectory) -> dict:
 CHUNK_VALUES = 2**16  # values per chunk a trajectory writer formats and writes
 
 
-def _chunks(rows: int, width: int):
-    """Slices of ``rows`` rows of ``width`` values, about CHUNK_VALUES each."""
-    step = max(1, CHUNK_VALUES // width)
-    return (slice(lo, lo + step) for lo in range(0, rows, step))
-
-
 def write_trajectory_csv(traj: Trajectory, path: Path):
     """The trajectory as CSV, one row per step, each value by ``repr``;
     written a chunk of rows at a time."""
@@ -464,7 +457,7 @@ def write_trajectory_csv(traj: Trajectory, path: Path):
 
     def text():
         yield ",".join(cols) + "\n"
-        for rows in _chunks(traj.n_steps + 1, len(cols)):
+        for rows in row_chunks(traj.n_steps + 1, len(cols), CHUNK_VALUES):
             block = np.column_stack([col[rows] for col in table.values()])
             yield "\n".join(f"{i}," + ",".join(map(repr, row.tolist()))
                             for i, row in enumerate(block, rows.start)) + "\n"
@@ -479,7 +472,7 @@ def write_trajectory_json(traj: Trajectory, path: Path):
         for name, col in sorted(_trajectory_table(traj).items()):
             yield f"{sep}{json.dumps(name)}: ["
             width = col.shape[1] if col.ndim == 2 else 1
-            for k, rows in enumerate(_chunks(len(col), width)):
+            for k, rows in enumerate(row_chunks(len(col), width, CHUNK_VALUES)):
                 yield (", " if k else "") + json.dumps(col[rows].tolist())[1:-1]
             yield "]"
             sep = ", "
@@ -706,12 +699,7 @@ def execute_classify(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> dict
             "kind": cls.kind,
             "bipolar_index": cls.bipolar_index,
             "equilibrium": _equilibrium_dict(cls.equilibrium),
-            "witness": None if cls.equilibrium is None else {
-                "t_end": cls.witness.t_end,
-                "grad_norm": cls.witness.grad_norm,
-                "residual": cls.witness.residual,
-                "r0": cls.witness.r0,
-            },
+            "witness": None if cls.equilibrium is None else dataclasses.asdict(cls.witness),
         }
     except ValueError as exc:
         report = {"kind": "unresolved", "error": str(exc)}
@@ -728,12 +716,8 @@ def execute_thresholds(n, n0, l, domega, coupling=None, dtheta0=None) -> dict:
         # evaluate step_max at twice the minimum coupling by default
         probe = analysis.cluster_spec(n, n0, l, domega, coupling=1.0)
         k_ref = 2.0 * probe.k_min if probe.k_min > 0 else 1.0
-    spec = analysis.cluster_spec(n, n0, l, domega, coupling=k_ref)
-    out = {
-        "n": n, "n0": n0, "l": l, "domega": domega, "coupling": k_ref,
-        "k_min": spec.k_min, "step_max": spec.step_max,
-        "coupling_ok": spec.coupling_ok,
-    }
+    out = dataclasses.asdict(analysis.cluster_spec(n, n0, l, domega, coupling=k_ref))
+    out["domega"] = out.pop("d_omega")
     if dtheta0 is not None:
         out["sync_threshold"] = analysis.coupling_threshold(domega, dtheta0)
     return out
@@ -751,14 +735,14 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("config", help="INI or JSON run configuration")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
         sp.add_argument("--quiet", action="store_true")
+        return sp
 
-    common(sub.add_parser("run", help="execute one configured run"))
-
-    sp = sub.add_parser("sweep", help="run a config across an axis of values")
-    common(sp)
+    run = common(sub.add_parser("run", help="execute one configured run"))
+    sp = common(sub.add_parser("sweep", help="run a config across an axis of values"))
+    for writer in (run, sp):  # classify writes no trajectory
+        writer.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--axis", required=True, choices=_AXES)
     sp.add_argument("--values", required=True,
                     help="comma-separated list of axis values")

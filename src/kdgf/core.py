@@ -64,7 +64,7 @@ class NaturalFrequencies:
     @property
     def d_omega(self) -> float:
         """Spread max(omega) - min(omega)."""
-        return float(self.omega.max() - self.omega.min())
+        return float(span(self.omega))
 
     @property
     def is_identical(self) -> bool:
@@ -107,6 +107,27 @@ class OrderParameter:
 # ---------------------------------------------------------------------------
 # array-level primitives (single canonical code path; see euler_step contract)
 # ---------------------------------------------------------------------------
+
+CHUNK_PHASES = 2**18  # phases per chunk of a row-wise pass over a long run
+
+
+def row_chunks(rows: int, width: int, values: int = CHUNK_PHASES):
+    """Slices of ``rows`` rows of ``width`` values, about ``values`` each."""
+    step = max(1, values // width)
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
+def row_dot(a: np.ndarray, b: np.ndarray):
+    """a . b over the last axis, one dot product per row, so a row's value
+    does not depend on the rows beside it as a 2-d ``a @ b`` (one gemv) does;
+    on 1-d operands it is bitwise ``a @ b``."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def span(values: np.ndarray):
+    """max - min over the last axis."""
+    return values.max(axis=-1) - values.min(axis=-1)
+
 
 def mean_field(theta: np.ndarray):
     """Z = sum_j exp(i theta_j) over the last axis of ``theta``.
@@ -167,12 +188,32 @@ def potential_from_mean_field(z, theta, omega, coupling):
     """
     n = theta.shape[-1]
     z2 = z.real * z.real + z.imag * z.imag
-    return (coupling / (2.0 * n)) * (n * n - z2) - theta @ omega
+    return (coupling / (2.0 * n)) * (n * n - z2) - row_dot(theta, omega)
+
+
+def order_from_mean_field(z, n: int):
+    """(min(|Z|/N, 1), angle Z) for each mean field Z of N phases."""
+    return np.minimum(np.abs(z) / n, 1.0), np.angle(z)
 
 
 def potential_arrays(theta, omega, coupling) -> float:
     """-sum_i omega_i theta_i + (K/2N) sum_ij (1 - cos(theta_j - theta_i))."""
     return float(potential_from_mean_field(mean_field(theta), theta, omega, coupling))
+
+
+def diagnostic_series(phases, omega, coupling):
+    """Diameter, potential, order_r and order_phi of every row, each from the
+    row alone, the last three from its mean field Z.  Rows go in chunks of
+    about CHUNK_PHASES phases so the workspace stays bounded on long runs."""
+    m, n = phases.shape
+    potentials = np.empty(m)
+    order_r = np.empty(m)
+    order_phi = np.empty(m)
+    for rows in row_chunks(m, n):
+        z = mean_field(phases[rows])
+        potentials[rows] = potential_from_mean_field(z, phases[rows], omega, coupling)
+        order_r[rows], order_phi[rows] = order_from_mean_field(z, n)
+    return span(phases), potentials, order_r, order_phi
 
 
 def _check_lengths(config: PhaseConfig, freqs: NaturalFrequencies):
@@ -192,11 +233,9 @@ def order_parameter(config: PhaseConfig) -> OrderParameter:
     When r falls below 1e-14 the angle is meaningless; it is reported as 0
     with the degenerate flag set.
     """
-    z = complex(mean_field(config.phases))
-    r = min(abs(z) / config.n, 1.0)
+    r, phi = map(float, order_from_mean_field(mean_field(config.phases), config.n))
     if r < 1e-14:
         return OrderParameter(r=r, phi=0.0, degenerate=True)
-    phi = math.atan2(z.imag, z.real)
     if phi <= -math.pi:
         phi = math.pi
     return OrderParameter(r=r, phi=phi)
@@ -219,7 +258,7 @@ def diameter(config: PhaseConfig, subset=None) -> float:
         sel = config.phases
     else:
         sel = config.phases[subset_indices(subset, config.n)]
-    return float(sel.max() - sel.min())
+    return float(span(sel))
 
 
 def kuramoto_potential(config: PhaseConfig, freqs: NaturalFrequencies,

@@ -239,7 +239,8 @@ def lojasiewicz_probe(problem: DescentProblem, center, radius: float,
     that keeps the inequality true on every sample.  ``subspace`` (a dim x k
     basis matrix) restricts sampling directions, e.g. to the zero-mean
     subspace for oscillator potentials whose flat direction would otherwise
-    mask the exponent.
+    mask the exponent.  Fewer than ``samples`` usable draws (|f - f(center)|
+    and |grad| both at least 1e-300) in 10 * samples raise ValueError.
     """
     x_bar = np.array(center, dtype=float).reshape(-1)
     if x_bar.size != problem.dim:
@@ -258,9 +259,8 @@ def lojasiewicz_probe(problem: DescentProblem, center, radius: float,
 
     rng = np.random.default_rng(seed)
     f0 = float(problem.potential(x_bar))
-    log_g, log_df, ratios_at = [], [], []
     pts = []
-    while len(pts) < samples:
+    for _ in range(10 * samples):
         u = rng.standard_normal(k)
         nu = np.linalg.norm(u)
         if nu < 1e-12:
@@ -274,8 +274,12 @@ def lojasiewicz_probe(problem: DescentProblem, center, radius: float,
         if df < 1e-300 or gn < 1e-300:
             continue
         pts.append((gn, df))
-    gn = np.array([p[0] for p in pts])
-    df = np.array([p[1] for p in pts])
+        if len(pts) == samples:
+            break
+    else:
+        raise ValueError(f"found {len(pts)} of {samples} usable samples in "
+                         f"{10 * samples} draws; widen the radius")
+    gn, df = np.array(pts).T
 
     slope = np.polyfit(np.log(df), np.log(gn), 1)[0]
     eta = float(EXPONENT_GRID[np.argmin(np.abs(EXPONENT_GRID - slope))])

@@ -13,8 +13,9 @@ from .core import (
     PhaseConfig,
     SimParams,
     _check_lengths,
-    mean_field,
-    potential_from_mean_field,
+    diagnostic_series,
+    row_chunks,
+    row_dot,
     velocity_arrays,
 )
 
@@ -89,27 +90,6 @@ def euler_step(config: PhaseConfig, freqs: NaturalFrequencies,
     return PhaseConfig(v)
 
 
-def _diagnostic_series(phases, omega, coupling):
-    """Diameter, potential, order_r and order_phi of every row; the last
-    three from one mean field Z per row.  Rows go in chunks of about 2**18
-    phases so the complex workspace stays bounded on long runs."""
-    m, n = phases.shape
-    diameters = phases.max(axis=1) - phases.min(axis=1)
-    potentials = np.empty(m)
-    order_r = np.empty(m)
-    order_phi = np.empty(m)
-    chunk = max(1, 262144 // n)
-    for lo in range(0, m, chunk):
-        rows = slice(lo, lo + chunk)
-        z = mean_field(phases[rows])
-        potentials[rows] = potential_from_mean_field(z, phases[rows], omega, coupling)
-        np.abs(z, out=order_r[rows])
-        order_phi[rows] = np.angle(z)
-    order_r /= n
-    np.minimum(order_r, 1.0, out=order_r)
-    return diameters, potentials, order_r, order_phi
-
-
 def simulate(init: PhaseConfig, freqs: NaturalFrequencies,
              params: SimParams) -> Trajectory:
     """Iterate the Euler scheme until the gradient norm drops below
@@ -139,8 +119,9 @@ def simulate_batch(inits, freqs, params) -> list:
     ends, in the per-step order guard, gradient norm, step cap, so a row's
     result is exactly that of a step-by-step check; a row past the guard
     steps on to the end of its block, and those steps are discarded.
-    Each row keeps its own copy of its stored steps; every row's steps are
-    held until the call returns.
+    Live rows always share one step index; a row that stops leaves the live
+    arrays.  Each row keeps its own copy of its stored steps; every row's
+    steps are held until the call returns.
     """
     if not len(inits) == len(freqs) == len(params):
         raise ValueError("one set of frequencies and parameters per row")
@@ -158,50 +139,47 @@ def simulate_batch(inits, freqs, params) -> list:
     omega = np.array([f.omega for f in freqs])
     kk = np.array([[p.coupling] for p in params])
     h = np.array([[p.step_size] for p in params])
-    stored = np.zeros(len(inits), dtype=int)  # steps each row has stored
+    live = np.arange(len(inits))
     pieces = [[] for _ in inits]  # each row's stored (phases, gradient norms)
     results = [None] * len(inits)
-    live = list(range(len(inits)))  # the unfinished rows, ascending
-    while live:
-        act = np.array(live)
-        m0 = stored[act]
-        steps = min(BLOCK_STEPS, max_steps + 1 - int(m0.max()))
-        blk = np.empty((steps + 1, act.size, n))
-        blk[0] = theta[act]
-        vel = np.empty((steps, act.size, n))
-        om, k_b, h_b = omega[act], _shared(kk[act]), _shared(h[act])
+    m0 = 0  # the step index of every live row
+    while live.size:
+        steps = min(BLOCK_STEPS, max_steps + 1 - m0)
+        blk = np.empty((steps + 1, live.size, n))
+        blk[0] = theta
+        vel = np.empty((steps, live.size, n))
+        k_b, h_b = _shared(kk), _shared(h)
         views = list(blk)
         # a row past the guard may step on to inf before the block ends
         with np.errstate(over="ignore", invalid="ignore"):
             for cur, nxt, v in zip(views, views[1:], vel):
-                velocity_arrays(cur, om, k_b, out=v)
+                velocity_arrays(cur, omega, k_b, out=v)
                 np.multiply(v, h_b, out=nxt)
                 nxt += cur
-            # per step and row the ddot of vel @ vel
-            gnorm = np.sqrt(np.matmul(vel[:, :, None, :], vel[:, :, :, None])[:, :, 0, 0])
+            gnorm = np.sqrt(row_dot(vel, vel))
             m = m0 + np.arange(steps)[:, None]
             diverged = (((blk[:steps].max(axis=2) > DIVERGENCE_LIMIT)
                          | (blk[:steps].min(axis=2) < -DIVERGENCE_LIMIT)) & (m > 0))
             converged = gnorm < tol
         stop = diverged | converged | (m == max_steps)
-        theta[act] = blk[steps]
-        stored[act] += steps
+        keep = ~stop.any(axis=0)
 
-        for slot, row in enumerate(act.tolist()):
-            if not stop[:, slot].any():
+        for slot, row in enumerate(live.tolist()):
+            if keep[slot]:
                 pieces[row].append((np.ascontiguousarray(blk[:steps, slot]),
                                     np.ascontiguousarray(gnorm[:, slot])))
                 continue
             j = int(stop[:, slot].argmax())  # the row's stop step is m0 + j
             if diverged[j, slot]:
-                results[row] = DivergenceError(int(m0[slot]) + j)
+                results[row] = DivergenceError(m0 + j)
             else:
                 reason = "grad_norm" if converged[j, slot] else "max_steps"
                 phases, norms = zip(*pieces[row], (blk[:j + 1, slot], gnorm[:j + 1, slot]))
                 results[row] = _trajectory(np.concatenate(phases), np.concatenate(norms),
                                            reason, freqs[row], params[row])
             pieces[row] = None
-            live.remove(row)
+        theta, omega, kk, h, live = blk[steps][keep], omega[keep], kk[keep], h[keep], live[keep]
+        m0 += steps
     return results
 
 
@@ -215,7 +193,7 @@ def _shared(column):
 
 def _trajectory(phases, gnorm, reason, freqs, params) -> Trajectory:
     phases.setflags(write=False)
-    diameters, potentials, order_r, order_phi = _diagnostic_series(
+    diameters, potentials, order_r, order_phi = diagnostic_series(
         phases, freqs.omega, params.coupling)
     return Trajectory(
         phases=phases,
@@ -262,6 +240,18 @@ def rk4_step(theta: np.ndarray, omega: np.ndarray, coupling: float,
     return acc
 
 
+def rk4_flow(theta: np.ndarray, omega: np.ndarray, coupling: float, dt: float,
+             every: int):
+    """Yields (state, time) of the RK4 flow from ``theta`` at the start and
+    after every ``every`` further rk4_steps of ``dt``, time summed step by step."""
+    y, t = theta, 0.0
+    while True:
+        yield y, t
+        for _ in range(every):
+            y = rk4_step(y, omega, coupling, dt)
+            t += dt
+
+
 def rk4_substeps(h: float, coupling: float, freqs: NaturalFrequencies) -> int:
     """RK4 substeps per step of size ``h``: the fewest, at least one, that
     keep dt * (|K| + d_omega) at or below RK4_STEP, with dt = h / substeps."""
@@ -296,13 +286,10 @@ def rk4_reference(init: PhaseConfig, freqs: NaturalFrequencies, coupling: float,
     if not (h > 0 and n_steps >= 0):
         raise ValueError("h must be positive and n_steps nonnegative")
     s = rk4_substeps(h, coupling, freqs)
-    dt = h / s
     knots = np.empty((n_steps + 1, init.n))
-    knots[0] = init.phases
-    y = init.phases
-    for i in range(1, n_steps + 1):
-        for _ in range(s):
-            y = rk4_step(y, freqs.omega, coupling, dt)
+    flow = rk4_flow(init.phases, freqs.omega, coupling, h / s, s)
+    for i in range(n_steps + 1):
+        y, _ = next(flow)
         if not np.all(np.isfinite(y)):
             raise ValueError(f"non-finite reference state at step {i}")
         knots[i] = y
@@ -345,13 +332,12 @@ def euler_error_bound(traj: Trajectory, oracle: Rk4Path,
                          "step size and step count")
 
     # one-step defect of the true solution under the Euler update, one
-    # kernel call per chunk of about 2**18 phases
+    # kernel call per chunk of steps
     trunc = np.zeros(m + 1)
-    chunk = max(1, 262144 // ref.shape[1])
-    for lo in range(0, m, chunk):
-        rows = ref[lo:lo + chunk + 1]
-        f_ref = velocity_arrays(rows[:-1], traj.freqs.omega, traj.params.coupling)
-        trunc[lo:lo + len(f_ref)] = np.abs((rows[1:] - rows[:-1]) / h - f_ref).max(axis=1)
+    for rows in row_chunks(m, ref.shape[1]):
+        y0, y1 = ref[:-1][rows], ref[1:][rows]
+        f_ref = velocity_arrays(y0, traj.freqs.omega, traj.params.coupling)
+        trunc[:-1][rows] = np.abs((y1 - y0) / h - f_ref).max(axis=1)
     t_max = float(trunc.max())
 
     steps = np.arange(m + 1)

@@ -175,6 +175,11 @@ def test_match_unconverged_returns_none():
     assert match_equilibrium(PhaseConfig([-1.0, 0.2, 0.8]), tol=1e-6) is None
 
 
+def test_match_vanishing_mean_field_returns_none():
+    # three phases a third of a turn apart: Z = 0 and no angle to round about
+    assert match_equilibrium(PhaseConfig([0.0, 2 * math.pi / 3, -2 * math.pi / 3])) is None
+
+
 def test_match_winding_run_agrees_with_classification():
     # a spread configuration whose sync limit carries one full winding
     init = PhaseConfig(np.array([0.6737, -1.0224, 2.608, -2.2594]) * 1.0)
@@ -545,3 +550,12 @@ def test_fit_rejects_nonpositive_values():
     series = np.array([1.0, 0.5, 0.0, 0.2])
     with pytest.raises(ValueError, match="shrink window"):
         fit_decay_rate(series, 0.01, (0, 4))
+
+
+@pytest.mark.parametrize("window,message", [
+    ((0, 5), "out of range"), ((-1, 2), "out of range"), ((2, 2), "out of range"),
+    ((1, 2), "at least two steps"),
+], ids=["past-the-end", "negative-start", "empty", "one-step"])
+def test_fit_rejects_a_bad_window(window, message):
+    with pytest.raises(ValueError, match=message):
+        fit_decay_rate(np.array([1.0, 0.5, 0.25, 0.125]), 0.01, window)

@@ -884,3 +884,106 @@ def test_scan_verdicts_keep_their_report_keys(tmp_path, case):
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
     assert json.loads((out / "report.json").read_text())["verdicts"] == expected
+
+
+RANDOM_ARC_CFG = NONIDENTICAL_CFG.replace("near-sync(0.1)", "random-arc(2.0)").replace(
+    "omega = zero", "omega = uniform(0.2)").replace("max_steps = 20000", "max_steps = 50")
+
+
+def test_seed_flag_overrides_the_config_seed_in_run_and_sweep(tmp_path):
+    cfg = write_config(tmp_path / "run.ini", RANDOM_ARC_CFG)
+    assert main(["run", cfg, "--seed", "7", "--out", str(tmp_path / "run"), "--quiet"]) == 0
+    config = cli.load_config(cfg)
+    config.seed = 7
+    cli.execute_run(config, tmp_path / "seed7", quiet=True)
+    run = _without_timestamp(tmp_path / "run" / "report.json")
+    assert run["config"]["seed"] == 7
+    assert run == _without_timestamp(tmp_path / "seed7" / "report.json")
+    assert main(["sweep", cfg, "--seed", "7", "--axis", "K", "--values", "1.0,2.0,3.0",
+                 "--out", str(tmp_path / "sweep"), "--quiet"]) == 0
+    for i in range(3):  # each point's seed is the override XOR its index
+        point = _without_timestamp(tmp_path / "sweep" / f"point_{i:03d}" / "report.json")
+        assert point["config"]["seed"] == 7 ^ i
+
+
+def test_two_sided_decay_default_alpha_is_the_theory_rate(tmp_path):
+    cfg = write_config(tmp_path / "run.ini", NEAR_BIPOLAR_CFG + "two_sided_decay = tol=0.2\n")
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
+    verdict = json.loads((out / "report.json").read_text())["verdicts"][1]
+    # K((N-1) sin(eps)/eps - 1)/(2N) at N = 4, K = 1 and the default eps = 0.3
+    assert verdict["name"] == "two_sided_decay"
+    assert verdict["alpha"] == pytest.approx((3 * math.sin(0.3) / 0.3 - 1) / 8, rel=1e-15)
+
+
+def test_unresolved_classification_is_a_report(tmp_path, monkeypatch, capsys):
+    def unresolved(*args, **kwargs):
+        raise ValueError("unresolved classification (grad_norm=1.000e-03 at t=1e+03)")
+
+    monkeypatch.setattr(cli.analysis, "classify_initial", unresolved)
+    cfg = write_config(tmp_path / "run.ini", IDENTICAL_CFG)
+    out = tmp_path / "cls"
+    assert main(["classify", cfg, "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "classification.json").read_text()) == {
+        "kind": "unresolved",
+        "error": "unresolved classification (grad_norm=1.000e-03 at t=1e+03)"}
+    assert capsys.readouterr().out == ""
+
+
+def test_thresholds_with_dtheta0_report_the_sync_threshold(capsys):
+    assert main(["thresholds", "--n", "4", "--n0", "3", "--l", "1.0", "--domega", "0.2",
+                 "--dtheta0", "0.5"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["sync_threshold"] == 0.2 / math.sin(0.5)
+    assert data["domega"] == 0.2 and "d_omega" not in data
+
+
+def test_error_bound_over_its_step_cap_names_the_run_length(tmp_path, monkeypatch):
+    def no_reference(*args, **kwargs):
+        raise AssertionError("the verdict is known before the reference")
+
+    monkeypatch.setattr(cli, "rk4_reference", no_reference)
+    cfg = write_config(tmp_path / "run.ini",
+                       FAST_STEP_CFG.format(60) + "error_bound = max_steps=59\n")
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
+    verdict = json.loads((out / "report.json").read_text())["verdicts"][1]
+    assert verdict == {"name": "error_bound", "passed": False,
+                       "reason": "run too long for the reference integration"}
+
+
+def test_run_with_json_format_writes_the_json_trajectory(tmp_path):
+    cfg = write_config(tmp_path / "run.ini", RANDOM_ARC_CFG)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--format", "json", "--out", str(out), "--quiet"]) == 0
+    assert sorted(f.name for f in out.iterdir()) == ["report.json", "trajectory.json"]
+    table = json.loads((out / "trajectory.json").read_text())
+    assert len(table["potential"]) == json.loads(
+        (out / "report.json").read_text())["trajectory"]["steps"] + 1
+
+
+def test_classify_takes_no_format_flag(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.ini", IDENTICAL_CFG)
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", cfg, "--format", "json", "--out", str(tmp_path / "cls")])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not (tmp_path / "cls").exists()
+
+
+def test_commands_print_their_results_unless_quiet(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.ini", IDENTICAL_CFG.replace(
+        "diameter_decay = eps=0.3", "diameter_decay = eps=0.01"))
+    assert main(["run", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "order_preservation: pass", "diameter_decay: FAIL",
+        f"report written to {tmp_path / 'run' / 'report.json'}"]
+    assert main(["sweep", cfg, "--axis", "K", "--values", "1.0,2.0",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"sweep summary written to {tmp_path / 'sweep' / 'summary.csv'}"]
+    assert main(["classify", cfg, "--out", str(tmp_path / "cls")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 1
+    assert json.loads(printed[0]) == json.loads(
+        (tmp_path / "cls" / "classification.json").read_text())

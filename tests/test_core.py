@@ -53,6 +53,19 @@ def test_phase_config_validation():
     c = PhaseConfig([0.1, 0.2])
     with pytest.raises(ValueError):
         c.phases[0] = 5.0  # immutable
+    with pytest.raises(ValueError, match="1-d"):
+        PhaseConfig([[0.1, 0.2], [0.3, 0.4]])
+
+
+@pytest.mark.parametrize("omega,message", [
+    ([[0.1, -0.1], [0.2, -0.2]], "nonempty 1-d"),
+    ([], "nonempty 1-d"),
+    ([0.1, np.inf], "non-finite"),
+    ([np.nan, 0.0], "non-finite"),
+], ids=["2-d", "empty", "inf", "nan"])
+def test_natural_frequencies_reject_malformed_omega(omega, message):
+    with pytest.raises(ValueError, match=message):
+        NaturalFrequencies(omega)
 
 
 def test_natural_frequencies_zero_mean_enforced():

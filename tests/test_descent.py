@@ -1,5 +1,6 @@
 """Tests for the fixed-step gradient descent engine and its certificates."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -208,6 +209,14 @@ def test_probe_quartic_exponent_three_quarters():
 def test_probe_requires_critical_point():
     with pytest.raises(ValueError, match="critical point"):
         lojasiewicz_probe(quadratic(1), [0.5], radius=0.1)
+
+
+def test_probe_on_a_ball_too_small_to_resolve_f_raises_promptly():
+    # every draw has |f - f(0)| = x**4 / 4 < 1e-300, so no sample is usable
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="found 0 of 50 usable samples in 500 draws"):
+        lojasiewicz_probe(quartic_1d(), [0.0], radius=1e-80, samples=50)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_probe_kuramoto_sync_nondegenerate():

@@ -10,14 +10,17 @@ from kdgf import (
     NaturalFrequencies,
     PhaseConfig,
     SimParams,
+    diameter,
     euler_error_bound,
     euler_step,
     inits,
     kuramoto_gradient,
     kuramoto_potential,
+    kuramoto_problem,
     order_parameter,
     rk4_reference,
     rk4_step,
+    run_descent,
     simulate,
     simulate_batch,
 )
@@ -166,6 +169,39 @@ def test_trajectory_diagnostics_match_per_config_functions():
         op = order_parameter(c)
         assert traj.order_r[i] == pytest.approx(op.r, abs=4 * eps)
         assert traj.order_phi[i] == pytest.approx(op.phi, abs=4 * eps * math.pi)
+
+
+def _nonidentical_run(n, max_steps, seed=5):
+    init = inits.random_arc(n, 3.0, np.random.default_rng(seed))
+    f = inits.uniform_frequencies(n, 0.3, np.random.default_rng(seed + 1))
+    return simulate(init, f, SimParams(1.0, 0.05, max_steps=max_steps, conv_tol=0.0))
+
+
+@pytest.mark.parametrize("n,max_steps", [(4, 300), (64, 300), (300, 300),
+                                         (64, 5000)])  # 320 064 phases: two chunks
+def test_trajectory_series_equal_the_per_config_functions_bitwise(n, max_steps):
+    traj = _nonidentical_run(n, max_steps)
+    f, k = traj.freqs, traj.params.coupling
+    for i in range(traj.n_steps + 1):
+        c = traj.config(i)
+        op = order_parameter(c)
+        assert (kuramoto_potential(c, f, k), op.r, op.phi, diameter(c),
+                np.linalg.norm(kuramoto_gradient(c, f, k))) == (
+            traj.potentials[i], traj.order_r[i], traj.order_phi[i],
+            traj.diameters[i], traj.grad_norms[i]), i
+    result = run_descent(kuramoto_problem(f, k), traj.phases[0], traj.params.step_size,
+                         max_steps=max_steps, tol=0.0, store_path=True)
+    assert np.array_equal(result.path, traj.phases)
+    assert np.array_equal(result.f_values, traj.potentials)
+
+
+def test_a_steps_diagnostics_do_not_depend_on_the_run_length():
+    runs = [_nonidentical_run(64, m) for m in (300, 301, 5000)]
+    for short, long in zip(runs, runs[1:]):  # each pair on its common prefix
+        rows = short.n_steps + 1
+        assert np.array_equal(long.phases[:rows], short.phases)
+        for name in ("potentials", "order_r", "order_phi", "diameters", "grad_norms"):
+            assert np.array_equal(getattr(long, name)[:rows], getattr(short, name)), name
 
 
 def test_simulate_large_n_near_sync_reaches_grad_tol():

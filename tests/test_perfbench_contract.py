@@ -1,12 +1,14 @@
 """The benchmark harness traces kdgf by replacing module attributes by name
-(``perfbench/tracing.py``); every name it wraps must still exist."""
+(``perfbench/tracing.py``); every name it wraps must still exist, and the
+kernels it probes directly (``perfbench/probes.py``) must take its calls."""
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from kdgf import NaturalFrequencies, PhaseConfig, cli
+from kdgf import NaturalFrequencies, PhaseConfig, cli, core, inits, kuramoto_potential
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 _spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
@@ -83,3 +85,18 @@ def test_run_reaches_the_traced_simulate(tmp_path, monkeypatch):
                    "coupling = 1.0\nstep = 0.01\nmax_steps = 50\n")
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "run"), "--quiet"]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [4, 64, 256, 2048])
+def test_probed_kernels_take_the_probes_calls(n):
+    # the probes pass the read-only arrays of kdgf's own builders, one
+    # configuration at a time, with a float coupling
+    theta = inits.random_arc(n, 3.0, np.random.default_rng(n)).phases
+    freqs = inits.uniform_frequencies(n, 0.2, np.random.default_rng(n + 1))
+    sums = core.coupling_sums(theta)
+    assert sums.shape == (n,)
+    assert np.allclose(sums, np.sin(theta[None, :] - theta[:, None]).sum(axis=1),
+                       rtol=0, atol=1e-12 * n)
+    potential = core.potential_arrays(theta, freqs.omega, 1.0)
+    assert type(potential) is float
+    assert potential == kuramoto_potential(PhaseConfig(theta), freqs, 1.0)
