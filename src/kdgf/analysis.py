@@ -190,7 +190,7 @@ def classify_initial(init: PhaseConfig, coupling: float, *,
     if abs(float(phases.sum())) > 1e-9 * n * scale:
         raise ValueError("classification requires zero-mean initial data")
 
-    r0 = float(abs(mean_field(phases) / n))
+    r0 = float(order_from_mean_field(mean_field(phases), n)[0])
     if np.unique(phases).size < n or r0 < 1e-12:
         return InitialClassification(
             "degenerate", None, None,

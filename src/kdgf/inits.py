@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .core import NaturalFrequencies, PhaseConfig, mean_field
+from .core import NaturalFrequencies, PhaseConfig, mean_field, order_from_mean_field
 
 
 def near_sync(n: int, delta: float) -> PhaseConfig:
@@ -46,7 +46,7 @@ def random_arc(n: int, width: float, rng: np.random.Generator) -> PhaseConfig:
         theta -= theta.mean()
         if np.unique(theta).size < n:
             continue
-        if abs(mean_field(theta) / n) < 1e-9:
+        if order_from_mean_field(mean_field(theta), n)[0] < 1e-9:
             continue
         return PhaseConfig(theta)
     raise ValueError("could not draw an admissible configuration")

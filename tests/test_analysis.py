@@ -24,9 +24,10 @@ from kdgf import (
     fit_decay_rate,
     kuramoto_gradient,
     match_equilibrium,
+    order_parameter,
     simulate,
 )
-from kdgf.inits import near_bipolar, near_sync
+from kdgf.inits import near_bipolar, near_sync, random_arc
 
 
 def run_identical(init, k=1.0, h=0.01, steps=10_000, conv_tol=1e-10):
@@ -140,6 +141,16 @@ def test_classify_degenerate_cases():
     balanced = classify_initial(
         PhaseConfig([0.0, 2 * math.pi / 3, -2 * math.pi / 3]), 1.0)
     assert balanced.kind == "degenerate"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_classification_r0_is_the_order_parameter(seed):
+    # the witness's r0 and order_parameter share one formula, min(|Z|/N, 1):
+    # |Z/N| alone differed from it by an ulp on about half of these starts
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        init = random_arc(4, 0.9 * math.pi, rng)
+        assert classify_initial(init, 1.0).witness.r0 == order_parameter(init).r
 
 
 def test_classify_requires_zero_mean():

@@ -785,6 +785,18 @@ def test_chunked_writers_equal_whole_file_writers(tmp_path, monkeypatch, chunk):
     assert (tmp_path / "t.json").read_text() == expected
 
 
+def test_failed_write_leaves_no_file(tmp_path):
+    # a writer whose text fails part-way (as the formatter might, inside the
+    # generator) leaves neither the temporary file nor the target behind
+    def text():
+        yield b"n,t\n"
+        raise RuntimeError("formatter failed")
+    target = tmp_path / "trajectory.csv"
+    with pytest.raises(RuntimeError, match="formatter failed"):
+        cli._atomic_write(target, text())
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_importing_the_cli_leaves_out_the_process_pool():
     # sweeps import the pool when they need it; every kdgf run would
     # otherwise pay for its import at start-up
