@@ -7,8 +7,9 @@ a separator, without making a Python object per value.
 The decimal digits come from the common path of Ryu (Ulf Adams, "Ryu: fast
 float-to-string conversion", PLDI 2018), run on uint64 arrays.  That path
 covers the normal, finite, nonzero values below 2**50 in magnitude, except
-where 2**q divides 4m (Ryu's "vr has trailing zeros": dyadic values such as
-0.25 or 3.0); in trajectories that is 99.6 % of values or more.  Every other
+powers of two and values where 2**q divides 4m (Ryu's "vr has trailing
+zeros": dyadic values such as 0.375 or 3.0); in trajectories that is 99.6 %
+of values or more.  Every other
 value is rendered by the caller's per-value function (``repr`` or
 ``json.dumps``).
 The text is laid out as CPython lays out ``repr``: fixed notation for a
@@ -43,8 +44,7 @@ _J = 121           # bit at which every product of mv and a multiplier is read
 _LIMB = 28         # bits per limb of the multiply; 55 x 28 bit products fit in uint64
 _MASK = _U(2**_LIMB - 1)
 # Sums to zero over six limbs (2**29 in limb t is 2 in limb t + 1; limb 5
-# holds -2) and keeps each limb of X - (1 + s) * M' nonnegative, as
-# (1 + s) * M'_t <= 2**29 - 2.
+# holds -2) and keeps each limb of X - 2M' nonnegative, as 2M'_t <= 2**29 - 2.
 _BIAS = [_U(2**29)] + [_U(2**29 - 2)] * 4
 
 
@@ -174,6 +174,8 @@ def slots(values, seps, fallback=repr) -> np.ndarray:
     # (2**q divides mv), where Ryu's common path could keep a trailing zero
     slow = (q < _U(2)) | ((q < _U(63))
                           & ((mv & ((_U(1) << np.minimum(q, _U(63))) - _U(1))) == _U(0)))
+    # and powers of two, whose lower neighbour is half as far as the upper
+    slow |= mv == _U(2**54)
     del q, mv
     # a slow value is formatted as 0.5000000000000001, then replaced by its fallback text
     bits = np.where(slow, _U(0x3FE0000000000001), bits)
@@ -207,30 +209,28 @@ def _shortest(bits):
     reads back as each float64 of ``bits``, by Ryu's common path."""
     tables = _tables()
     biased = (bits >> _U(52)) & _U(0x7FF)
-    mantissa = bits & _U(2**52 - 1)
-    mv = (mantissa | _U(2**52)) << _U(2)
+    mv = ((bits & _U(2**52 - 1)) | _U(2**52)) << _U(2)
     low, high = mv & _MASK, mv >> _U(_LIMB)
-    # s = 0 only for a power of two, whose lower neighbour is half as far
-    one_s = _U(1) + ((mantissa != _U(0)) | (biased <= _U(1)))
-    del mantissa, mv
-    # v = X, X + 2M' and X - (1 + s)M' for X = mv * M', added up limb by
-    # limb from the least significant, each sum carried into the next; a
-    # column of X (a 28-bit limb of each of mv and M') stays below 2**57
+    del mv
+    # v = X, X + 2M' and X - 2M' for X = mv * M', added up limb by limb from
+    # the least significant, each sum carried into the next; a column of X
+    # (a 28-bit limb of each of mv and M') stays below 2**57
     carry = np.zeros((3, bits.size), dtype=_U)
     last = None
     for t in range(5):
         m = tables.limbs[t].take(biased)
         carry >>= _U(_LIMB)
         carry += low * m if last is None else low * m + high * last
-        carry[1] += m << _U(1)
-        carry[2] += _BIAS[t] - m * one_s
+        twice = m << _U(1)
+        carry[1] += twice
+        carry[2] += _BIAS[t] - twice
         last = m
-    # vr, vp, vm = floor(v / 2**121); the top column of X - (1 + s)M' holds
-    # the bias's -2
+    # vr, vp, vm = floor(v / 2**121); the top column of X - 2M' holds the
+    # bias's -2
     v = (carry >> _U(_J - 4 * _LIMB)) + ((high * last) << _U(5 * _LIMB - _J))
     v[2] -= _U(2 << (5 * _LIMB - _J))
     digits, removed = _remove_digits(*v)
-    return digits, tables.e10[biased] + removed  # the exponent, offset by 400
+    return digits, tables.e10.take(biased) + removed  # the exponent, offset by 400
 
 
 def _remove_digits(vr, vp, vm):
@@ -311,7 +311,7 @@ def _layout(digits, exp10, negative):
     point = exp10 + n_digits  # offset by 400
     out = np.empty((digits.size, 4), dtype=">u8")
     out[:, 3] = tables.exponent.take(point)
-    key = (np.clip(point, _U(396), _U(417)) - _U(396)) * _U(_MAX_DIGITS) + n_digits
+    key = (np.minimum(np.maximum(point, _U(396)), _U(417)) - _U(396)) * _U(_MAX_DIGITS) + n_digits
     scale, dot, length, e_char = np.take(tables.mantissa, key, axis=1)
     chars = _digit_chars(digits * scale)
     chars[2] += e_char

@@ -54,7 +54,8 @@ def test_random_bit_patterns_render_as_their_oracles():
 def test_trajectory_like_values_render_as_their_oracles():
     rng = np.random.default_rng(3)
     check_against_oracles(np.concatenate([
-        rng.uniform(-4, 4, 50_000), rng.normal(size=50_000) * 10.0 ** rng.integers(-20, 20, 50_000),
+        rng.uniform(-4, 4, 50_000),
+        rng.normal(size=50_000) * 10.0 ** rng.integers(-20, 20, 50_000),
         np.arange(20_000) * 0.005, np.arange(20_000) * 0.04, 1.0 - rng.uniform(0, 1e-12, 1000)]))
 
 
@@ -86,7 +87,8 @@ def _expected_files(traj):
 
 def _trajectory(phases, series):
     m = phases.shape[0]
-    return Trajectory(phases=phases, params=SimParams(coupling=1.0, step_size=0.1, max_steps=m - 1),
+    return Trajectory(phases=phases,
+                      params=SimParams(coupling=1.0, step_size=0.1, max_steps=m - 1),
                       freqs=NaturalFrequencies.zero(phases.shape[1]), diameters=series[0],
                       potentials=series[1], grad_norms=series[2], order_r=series[3],
                       order_phi=series[4])
