@@ -2,26 +2,25 @@
 
 :func:`render` returns, for a block of float64 values, exactly the bytes
 that ``repr`` (or ``json.dumps``) of each value would give, each followed by
-a separator, without making a Python object per value.
+a separator, without making a Python object per value; :func:`numbered_rows`
+does the same for the rows of a trajectory CSV.
 
 The decimal digits come from the common path of Ryu (Ulf Adams, "Ryu: fast
 float-to-string conversion", PLDI 2018), run on uint64 arrays.  That path
 covers the normal, finite, nonzero values below 2**50 in magnitude, except
-powers of two and values where 2**q divides 4m (Ryu's "vr has trailing
-zeros": dyadic values such as 0.375 or 3.0); in trajectories that is 99.6 %
-of values or more.  Every other
-value is rendered by the caller's per-value function (``repr`` or
-``json.dumps``).
-The text is laid out as CPython lays out ``repr``: fixed notation for a
-decimal point position in (-4, 16], with ``.0`` on integral values, and
-``d[.ddd]e±XX`` otherwise.
+powers of two and the values where 2**q divides 4m (Ryu's "vr has trailing
+zeros", dyadic values such as 0.375 or 3.0): 99.6 % of a trajectory's values
+or more.  Every other value is rendered by the caller's per-value function
+(``repr`` or ``json.dumps``).  The text is laid out as CPython lays out
+``repr``: fixed notation for a decimal point position in (-4, 16], with
+``.0`` on integral values, and ``d[.ddd]e±XX`` otherwise.
 
 Each value's text is assembled in a 32-byte slot, stored as four big-endian
 uint64 limbs and padded with NUL bytes: the sign, digits and decimal point
 right-aligned in bytes 0-23 (with the ``e`` of exponent notation), the
 exponent's sign and digits in bytes 24-27, the separator in bytes 28-31.
-Dropping every NUL byte of the slots leaves the text.  Every operand is
-uint64, so numpy 1.x and 2.x promote alike.
+Dropping every NUL byte of the slots leaves the text.  Every arithmetic
+operand is uint64, so numpy 1.x and 2.x promote alike.
 """
 from __future__ import annotations
 
@@ -143,7 +142,7 @@ def render(values, seps, fallback=repr) -> bytes:
     """The text of each value of ``values`` followed by its separator, in
     row-major order.  ``seps`` holds ``sep_word`` separators and broadcasts
     against ``values``; ``fallback`` renders a value off the fast path."""
-    return join(slots(values, seps, fallback))
+    return _join(_slots(values, seps, fallback))
 
 
 def numbered_rows(block, first: int) -> bytes:
@@ -153,25 +152,25 @@ def numbered_rows(block, first: int) -> bytes:
     rows, cols = block.shape
     seps = np.full(cols, _COMMA, dtype=_U)
     seps[-1] = _NEWLINE
-    numbers = int_slots(np.arange(first, first + rows), _COMMA)
-    return join(np.concatenate([numbers[:, None], slots(block, seps)], axis=1))
+    numbers = _int_slots(np.arange(first, first + rows), _COMMA)
+    return _join(np.concatenate([numbers[:, None], _slots(block, seps)], axis=1))
 
 
-def join(slot_bytes) -> bytes:
+def _join(slot_bytes) -> bytes:
     """The texts of a block of slots, in order."""
     flat = slot_bytes.reshape(-1)
     return flat[flat != 0].tobytes()
 
 
-def slots(values, seps, fallback=repr) -> np.ndarray:
+def _slots(values, seps, fallback=repr) -> np.ndarray:
     """(..., 32) uint8 slots of the values of ``values``: see :func:`render`."""
     # the bits are read only from a native, contiguous float64 copy
     x = np.ascontiguousarray(values, dtype=np.float64)
     bits = x.reshape(-1).view(_U)
     q = _tables().q.take((bits >> _U(52)) & _U(0x7FF))
     mv = ((bits & _U(2**52 - 1)) | _U(2**52)) << _U(2)
-    # off the path: q < 2, and values whose product with 10**-e10 is exact
-    # (2**q divides mv), where Ryu's common path could keep a trailing zero
+    # off the path: q < 2, and the values where 2**q divides mv, whose digits
+    # Ryu's common path could leave with a trailing zero
     slow = (q < _U(2)) | ((q < _U(63))
                           & ((mv & ((_U(1) << np.minimum(q, _U(63))) - _U(1))) == _U(0)))
     # and powers of two, whose lower neighbour is half as far as the upper
@@ -192,7 +191,7 @@ def slots(values, seps, fallback=repr) -> np.ndarray:
     return slot_bytes
 
 
-def int_slots(ints, sep: int) -> np.ndarray:
+def _int_slots(ints, sep: int) -> np.ndarray:
     """(n, 32) uint8 slots of nonnegative integers below 10**17, each
     followed by the separator ``sep`` (a ``sep_word``)."""
     d = np.asarray(ints, dtype=_U)

@@ -66,10 +66,12 @@ def test_any_floats_render_as_their_oracles(values):
     check_against_oracles(values)
 
 
-def test_integers_render_as_str():
-    numbers = [0, 1, 9, 10, 99, 100, 12345, 10**8 - 1, 10**8, 10**16 - 1, 10**16]
-    texts = _floatfmt.join(_floatfmt.int_slots(numbers, COMMA)).decode()
-    assert texts == "".join(f"{i}," for i in numbers)
+@pytest.mark.parametrize("first", [0, 8, 98, 12345, 10**8 - 2, 10**16 - 2])
+def test_csv_rows_are_numbered_as_str(first):
+    block = np.array([[0.5, -1.5], [2.5e-7, 1e300], [math.nan, -math.inf]])
+    rows = _floatfmt.numbered_rows(block, first).decode()
+    assert rows == "".join(f"{first + i},{repr(a)},{repr(b)}\n"
+                           for i, (a, b) in enumerate(block.tolist()))
 
 
 def _expected_files(traj):
