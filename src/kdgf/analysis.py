@@ -12,7 +12,7 @@ least-squares decay-rate fitting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,32 +26,42 @@ from .integrate import RK4_STEP, Trajectory, rk4_flow
 
 @dataclass(frozen=True)
 class EquilibriumState:
-    """A locked state on the unwrapped line.
+    """A locked state on the unwrapped line, stored as its half-turn counts
+    a: theta_j = a_j pi + phi_star, with phi_star = -pi sum(a)/N pinned by
+    the zero-mean constraint.  All counts even is kind "sync"; one odd count
+    marks the "bipolar" state's opposed oscillator, half a turn from the
+    rest.  A common even shift moves no phase, so the counts are stored with
+    sum(a) in [-N, N), phi_star in (-pi, pi]: one record per state, compared
+    and hashed by value."""
 
-    kind "sync": theta_j = 2 k_j pi + phi_star for every oscillator.
-    kind "bipolar": one oscillator (bipolar_index) sits at
-    (2 k_b + 1) pi + phi_star, half a turn from the rest.
-    phi_star is pinned by the zero-mean constraint, so the state is fully
-    determined by the windings (and the opposed index).
-    """
-
-    windings: np.ndarray
-    bipolar_index: int | None = None
+    counts: tuple[int, ...]
+    bipolar_index: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.array(self.windings, dtype=int)
-        w.setflags(write=False)
-        object.__setattr__(self, "windings", w)
-        if self.bipolar_index is not None and not (0 <= self.bipolar_index < w.size):
-            raise ValueError("bipolar_index out of range")
+        a = np.array(self.counts, dtype=np.int64)
+        n, s = a.size, int(a.sum())
+        a += ((s + n) % (2 * n) - n - s) // n
+        odd = np.flatnonzero(a % 2)
+        if odd.size > 1:
+            raise ValueError("more than one half-turn count is odd")
+        object.__setattr__(self, "counts", tuple(a.tolist()))
+        object.__setattr__(self, "bipolar_index", int(odd[0]) if odd.size else None)
 
     @classmethod
     def sync(cls, windings) -> "EquilibriumState":
-        return cls(windings)
+        return cls([2 * int(k) for k in windings])
 
     @classmethod
     def bipolar(cls, windings, index: int) -> "EquilibriumState":
-        return cls(windings, int(index))
+        a = [2 * int(k) for k in windings]
+        if not 0 <= index < len(a):
+            raise ValueError("bipolar_index out of range")
+        a[index] += 1
+        return cls(a)
+
+    @property
+    def windings(self) -> np.ndarray:
+        return np.array(self.counts, dtype=np.int64) // 2
 
     @property
     def kind(self) -> str:
@@ -59,50 +69,39 @@ class EquilibriumState:
 
     @property
     def phi_star(self) -> float:
-        k = 2 * int(self.windings.sum()) + (self.bipolar_index is not None)
-        return -math.pi * float(k) / self.n
+        return -math.pi * float(sum(self.counts)) / self.n
 
     @property
     def n(self) -> int:
-        return self.windings.size
-
-    def _half_turn_counts(self) -> np.ndarray:
-        a = 2 * self.windings.astype(np.int64)
-        if self.bipolar_index is not None:
-            a = a.copy()
-            a[self.bipolar_index] += 1
-        return a
+        return len(self.counts)
 
     def reconstruct(self) -> np.ndarray:
         """Phases of the state; the integer combination N*a_j - sum(a) makes
         the zero-mean property exact at the integer level."""
-        a = self._half_turn_counts()
+        a = np.array(self.counts, dtype=np.int64)
         m = a * self.n - int(a.sum())
         phases = (math.pi / self.n) * m.astype(float)
         phases.setflags(write=False)
         return phases
 
-    def target_pattern(self) -> np.ndarray:
-        """Limiting effective phases: zero for sync; -pi/N on the locked
-        group and (N-1)pi/N on the opposed oscillator for bipolar."""
-        if self.kind == "sync":
-            return np.zeros(self.n)
-        pat = np.full(self.n, -math.pi / self.n)
-        pat[self.bipolar_index] = (self.n - 1) * math.pi / self.n
-        return pat
+
+def _rebase(phases: np.ndarray, eq: EquilibriumState) -> np.ndarray:
+    """phases - 2 pi (k - mean k) along the last axis, k the windings, the
+    offset formed as (2 pi / N)(N k - sum k) from exact integers."""
+    if phases.shape[-1] != eq.n:
+        raise ValueError("equilibrium size does not match the phases")
+    k = eq.windings
+    return phases - (2 * math.pi / eq.n) * (k * eq.n - int(k.sum())).astype(float)
 
 
 def effective_phases(config: PhaseConfig, eq: EquilibriumState) -> np.ndarray:
-    """Phases re-based so the limit state maps to its canonical pattern.
+    """Phases re-based by the state's windings k: theta - 2 pi (k - mean k).
 
-    Sync: theta_hat = theta - 2 k pi - phi_star (zero at the limit).
-    Bipolar: an extra -pi/N shift; at the limit the locked group sits at
-    -pi/N and the opposed oscillator at (N-1)pi/N.  The vector sum is
+    At the limit state they read 0 for sync; for bipolar, -pi/N on the
+    locked group and (N-1)pi/N on the opposed oscillator.  The vector sum is
     preserved: sum(theta_hat) == sum(theta) up to rounding.
     """
-    if config.n != eq.n:
-        raise ValueError("equilibrium size does not match configuration")
-    out = config.phases - eq.reconstruct() + eq.target_pattern()
+    out = _rebase(config.phases, eq)
     if abs(float(out.sum()) - float(config.phases.sum())) > 1e-9 * config.n * (
         1.0 + float(np.abs(config.phases).max())
     ):
@@ -112,9 +111,7 @@ def effective_phases(config: PhaseConfig, eq: EquilibriumState) -> np.ndarray:
 
 def effective_series(traj: Trajectory, eq: EquilibriumState) -> np.ndarray:
     """Effective phases for every step of a trajectory, shape (M+1, N)."""
-    if traj.n != eq.n:
-        raise ValueError("equilibrium size does not match trajectory")
-    return traj.phases - eq.reconstruct() + eq.target_pattern()
+    return _rebase(traj.phases, eq)
 
 
 # ---------------------------------------------------------------------------
@@ -138,16 +135,21 @@ class InitialClassification:
     phases or vanishing initial coherence; excluded from the theory).
     """
 
-    kind: str
-    bipolar_index: int | None
     equilibrium: EquilibriumState | None
     witness: ClassificationWitness
 
+    @property
+    def kind(self) -> str:
+        return "degenerate" if self.equilibrium is None else self.equilibrium.kind
+
+    @property
+    def bipolar_index(self) -> int | None:
+        return None if self.equilibrium is None else self.equilibrium.bipolar_index
+
 
 def _read_half_turn_grid(y: np.ndarray):
-    """Read (windings, opposed index) off a near-critical state: round each
-    phase to the nearest half turn about the mean-field angle and classify
-    by the parity of the half-turn counts.
+    """Read the half-turn counts of a near-critical state: round each phase
+    to the nearest half turn about the mean-field angle.
 
     Returns (EquilibriumState, worst phase residual), or (None, inf) when
     the mean field vanishes or more than one half-turn count is odd (a
@@ -156,13 +158,9 @@ def _read_half_turn_grid(y: np.ndarray):
     if r < 1e-14:
         return None, math.inf
     a = np.round((y - phi_hat) / math.pi).astype(np.int64)
-    odd = np.nonzero(a % 2 != 0)[0]
-    if odd.size == 0:
-        eq = EquilibriumState.sync(a // 2)
-    elif odd.size == 1:
-        eq = EquilibriumState.bipolar(a // 2, int(odd[0]))
-    else:
+    if np.count_nonzero(a % 2) > 1:
         return None, math.inf
+    eq = EquilibriumState(a)
     return eq, float(np.abs(y - eq.reconstruct()).max())
 
 
@@ -193,8 +191,7 @@ def classify_initial(init: PhaseConfig, coupling: float, *,
     r0 = float(order_from_mean_field(mean_field(phases), n)[0])
     if np.unique(phases).size < n or r0 < 1e-12:
         return InitialClassification(
-            "degenerate", None, None,
-            ClassificationWitness(0.0, math.nan, math.nan, r0))
+            None, ClassificationWitness(0.0, math.nan, math.nan, r0))
 
     dt = RK4_STEP / coupling
     t_max = t_max if t_max is not None else 1e3 / coupling
@@ -213,11 +210,7 @@ def classify_initial(init: PhaseConfig, coupling: float, *,
             eq, residual = _read_half_turn_grid(y)
             if residual < 0.02:
                 return InitialClassification(
-                    kind=eq.kind,
-                    bipolar_index=eq.bipolar_index,
-                    equilibrium=eq,
-                    witness=ClassificationWitness(t, gn, residual, r0),
-                )
+                    eq, ClassificationWitness(t, gn, residual, r0))
         if t >= t_max:
             raise ValueError(
                 f"unresolved classification (grad_norm={gn:.3e} at t={t:.3g})")

@@ -247,7 +247,7 @@ def test_a08_equilibrium_taxonomy():
             g = kuramoto_gradient(PhaseConfig(rec), freqs, k)
             assert np.abs(g).max() < 1e-12
             # zero mean: exact at the integer level, machine-exact in floats
-            a = eq._half_turn_counts()
+            a = np.array(eq.counts)
             assert int((a * n - a.sum()).sum()) == 0
             if np.all(eq.windings == eq.windings[0]):
                 assert rec.sum() == 0.0
@@ -354,3 +354,32 @@ order_preservation =
         outs.append((out / "trajectory.csv").read_bytes())
     assert outs[0] == outs[1]
     _report("A12", "repeated runs produce byte-identical trajectory.csv")
+
+
+# ---------------------------------------------------------------------------
+# A15: for small mesh size the Euler map reaches the flow's locked state
+# ---------------------------------------------------------------------------
+
+def test_a15_small_mesh_reaches_the_flow_limit():
+    # full-circle starts, each classified once by the RK4 flow, then stepped
+    # at every hK; agreement is asserted at hK = 0.05 and only reported above
+    k, steps = 1.0, (0.05, 0.5, 1.0, 1.5, 1.9)
+    agree = {}
+    for n in (4, 8):
+        agree[n] = []
+        rng = np.random.default_rng(1500 + n)
+        inits = [random_arc(n, 2 * math.pi - 1e-9, rng) for _ in range(150)]
+        flow = [classify_initial(init, k).equilibrium for init in inits]
+        freqs = [NaturalFrequencies.zero(n)] * len(inits)
+        for h in steps:
+            trajs = simulate_batch(inits, freqs,
+                                   [SimParams(k, h, max_steps=100_000)] * len(inits))
+            limits = [match_equilibrium(traj.final_config()) for traj in trajs]
+            if h == steps[0]:
+                assert all(traj.stop_reason == "grad_norm" for traj in trajs)
+                bad = [i for i, (a, b) in enumerate(zip(limits, flow)) if a != b]
+                assert not bad, f"N={n}: starts {bad} left the flow's locked state"
+            agree[n].append(sum(a == b for a, b in zip(limits, flow)))
+    _report("A15", "Euler limit == RK4 classification for all 150 starts at "
+            f"hK={steps[0]}, N=4 and 8; agreement at hK={list(steps[1:])}: "
+            + ", ".join(f"N={n} {agree[n][1:]}" for n in agree))

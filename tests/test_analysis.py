@@ -98,6 +98,56 @@ def test_reconstructed_states_are_critical():
         assert abs(rec.sum()) < 1e-13 * max(1, np.abs(rec).max())
 
 
+def random_state(rng):
+    """A sync or bipolar record: N = 3..11, windings -2..2."""
+    n = int(rng.integers(3, 12))
+    w = rng.integers(-2, 3, n)
+    if rng.random() < 0.5:
+        return EquilibriumState.sync(w)
+    return EquilibriumState.bipolar(w, int(rng.integers(0, n)))
+
+
+def test_records_of_one_state_are_equal():
+    # both reconstruct [pi, -pi, pi, -pi]; the record keeps phi_star = pi
+    a, b = EquilibriumState.sync([1, 0, 1, 0]), EquilibriumState.sync([0, -1, 0, -1])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a.phi_star == math.pi and a.counts == (0, -2, 0, -2)
+    assert a != EquilibriumState.sync([0, 1, 0, 1])
+
+
+def test_records_are_canonical():
+    rng = np.random.default_rng(20190909)
+    for _ in range(500):
+        eq = random_state(rng)
+        if eq.kind == "sync":
+            shifted = EquilibriumState.sync(eq.windings + 1)
+        else:
+            shifted = EquilibriumState.bipolar(eq.windings + 1, eq.bipolar_index)
+        assert shifted == eq and hash(shifted) == hash(eq)
+        assert np.array_equal(shifted.reconstruct(), eq.reconstruct())
+        assert -math.pi < eq.phi_star <= math.pi
+        # the mean-field angle, compared on the circle: at phi_star = pi the
+        # rounding of Z can put order_parameter's phi an ulp above -pi
+        phi = order_parameter(PhaseConfig(eq.reconstruct())).phi
+        assert abs(math.remainder(eq.phi_star - phi, 2 * math.pi)) <= 1e-12
+
+
+def test_record_never_equals_a_non_record():
+    eq = EquilibriumState.bipolar([0, 0, 0], 2)
+    for other in (eq.counts, list(eq.counts), None, 0, "bipolar"):
+        assert eq != other
+        assert not eq == other
+
+
+def test_record_rejects_two_odd_counts_and_is_read_only():
+    with pytest.raises(ValueError, match="odd"):
+        EquilibriumState((1, 1, 0))
+    eq = EquilibriumState.bipolar([0, 0, 0], 2)
+    for name in ("counts", "windings", "bipolar_index"):
+        with pytest.raises(AttributeError):
+            setattr(eq, name, None)
+
+
 def test_effective_phases_at_limits():
     eq = EquilibriumState.sync([0, 0, 0])
     at_limit = PhaseConfig(np.zeros(3) + 0.0)
@@ -202,9 +252,7 @@ def test_match_winding_run_agrees_with_classification():
     assert traj.stop_reason == "grad_norm"
     eq = match_equilibrium(traj.final_config())
     assert eq is not None and eq.kind == "sync"
-    assert np.array_equal(
-        eq.windings - eq.windings.min(),
-        cls.equilibrium.windings - cls.equilibrium.windings.min())
+    assert eq == cls.equilibrium
     assert np.any(eq.windings != eq.windings[0])
 
 
@@ -236,13 +284,8 @@ def test_match_agrees_with_candidate_search():
     rng = np.random.default_rng(20190909)
     kinds = set()
     for _ in range(3000):
-        n = int(rng.integers(3, 12))
-        w = rng.integers(-2, 3, n)
-        if rng.random() < 0.5:
-            eq = EquilibriumState.sync(w)
-        else:
-            eq = EquilibriumState.bipolar(w, int(rng.integers(0, n)))
-        noise = 10.0 ** rng.uniform(-9, 0) * rng.standard_normal(n)
+        eq = random_state(rng)
+        noise = 10.0 ** rng.uniform(-9, 0) * rng.standard_normal(eq.n)
         final = PhaseConfig(eq.reconstruct() + noise)
         tol = 10.0 ** rng.uniform(-8, -0.01)
         got, want = match_equilibrium(final, tol), candidate_search(final, tol)

@@ -1,4 +1,5 @@
 """End-to-end tests of the command-line harness."""
+import inspect
 import json
 import math
 import os
@@ -212,6 +213,28 @@ def test_classify_subcommand(tmp_path):
                        IDENTICAL_CFG.replace("omega = zero", "omega = uniform(0.3)"))
     assert main(["classify", bad, "--out", str(tmp_path / "bad"), "--quiet"]) == 2
     assert not (tmp_path / "bad").exists()
+
+
+def test_classify_and_run_write_one_record_at_phi_star_pi(tmp_path):
+    # one of A15's full-circle N=4 starts: its limit [pi, -pi, pi, -pi] has
+    # the canonical record phi_star = pi, windings [0, -1, 0, -1], and the
+    # classification and the converged run write that record alike
+    cfg = write_config(tmp_path / "run.ini", """
+[run]
+model = identical
+n = 4
+init = explicit(1.1258166261092895, -2.1563132944351873, 2.6412069609318953, -1.6107102926059977)
+coupling = 1.0
+step = 0.05
+""")
+    assert main(["classify", cfg, "--out", str(tmp_path / "cls"), "--quiet"]) == 0
+    assert main(["run", cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 0
+    cls = json.loads((tmp_path / "cls" / "classification.json").read_text())
+    run = json.loads((tmp_path / "run" / "report.json").read_text())
+    want = {"kind": "sync", "windings": [0, -1, 0, -1], "bipolar_index": None,
+            "phi_star": math.pi}
+    assert cls["equilibrium"] == want
+    assert run["equilibrium"] == want
 
 
 def test_thresholds_subcommand(capsys):
@@ -999,3 +1022,19 @@ def test_commands_print_their_results_unless_quiet(tmp_path, capsys):
     assert len(printed) == 1
     assert json.loads(printed[0]) == json.loads(
         (tmp_path / "cls" / "classification.json").read_text())
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_lists_the_certifier_registry():
+    # the certifiers with their options, and the options read as whole numbers
+    text = " ".join(README.read_text().split())
+    listed = re.search(r"Certifiers: (.*?)\.\s", text).group(1)
+    documented = {name: [a.strip() for a in args.split(",")] if args else []
+                  for name, args in re.findall(r"`(\w+)(?:\(([^)]*)\))?`", listed)}
+    registry = {name: [p for p in inspect.signature(fn).parameters if p != "traj"]
+                for name, fn in cli.CERTIFIERS.items()}
+    assert documented == registry
+    whole = re.search(r"the certifier options (.*?) must be whole numbers", text).group(1)
+    assert set(re.findall(r"`(\w+)`", whole)) == cli._INTEGER_OPTIONS
