@@ -168,17 +168,20 @@ def classify_initial(init: PhaseConfig, coupling: float, *,
                      t_max: float | None = None) -> InitialClassification:
     """Classify zero-mean identical-frequency initial data.
 
-    Runs the RK4 continuous flow at dt = RK4_STEP/K = 0.1/K, kdgf's one RK4
-    step rule with no frequency spread; whenever the gradient norm dips
-    below the capture threshold the state is matched against the
-    single-opposed-oscillator grid and classified by parity of the half-turn
-    counts, accepting a worst phase residual below 0.02.
+    The flow is scale-free in tau = K t, so it runs at K = 1 in scaled time:
+    RK4 steps of dtau = RK4_STEP, kdgf's one RK4 step rule with no frequency
+    spread.  Whenever the scaled gradient norm dips below 1e-4 the state is
+    matched against the single-opposed-oscillator grid and classified by
+    parity of the half-turn counts, accepting a worst phase residual below
+    0.02.  The locked state thus does not depend on K; only the witness is
+    read in real units, t_end = tau/K and grad_norm = K |v|.
     Capturing at the threshold (rather than insisting on grad_norm < 1e-10)
     matters because opposed-oscillator states are saddle points: rounding
-    noise grows at rate K and ejects any double-precision trajectory long
-    before a 1e-10 gradient could be observed there.
-    Reaching t_max (default 1e3/K) without a match raises an
-    unresolved-classification error.
+    noise grows at rate 1 in tau and ejects any double-precision trajectory
+    long before a 1e-10 gradient could be observed there; 1e-4 wins that
+    race with a 1.5x time margin while still pinning the state to ~1e-4 of
+    the critical point.  Reaching t_max (default 1e3/K, tau = 1e3) without a
+    match raises an unresolved-classification error.
     """
     if not coupling > 0:
         raise ValueError("coupling must be positive")
@@ -193,40 +196,20 @@ def classify_initial(init: PhaseConfig, coupling: float, *,
         return InitialClassification(
             None, ClassificationWitness(0.0, math.nan, math.nan, r0))
 
-    dt = RK4_STEP / coupling
-    t_max = t_max if t_max is not None else 1e3 / coupling
-    # The capture threshold must be loose enough that an opposed-oscillator
-    # saddle is matched before rounding noise (growing at rate K) ejects the
-    # reference trajectory; 1e-4 * K wins that race with a 1.5x time margin
-    # while still pinning the state to ~1e-4 of the critical point.  At tiny
-    # K it is floored at 1e-10, the gradient norm of a converged run.
-    capture = max(1e-4 * coupling, 1e-10)
-
+    tau_max = 1e3 if t_max is None else coupling * t_max
     omega = np.zeros(n)
     # the capture rule is checked every 16 RK4 steps
-    for y, t in rk4_flow(phases, omega, coupling, dt, 16):
-        gn = _norm(velocity_arrays(y, omega, coupling))
-        if gn < capture:
+    for y, tau in rk4_flow(phases, omega, 1.0, RK4_STEP, 16):
+        v = velocity_arrays(y, omega, 1.0)
+        gn = math.sqrt(v @ v)
+        if gn < 1e-4:
             eq, residual = _read_half_turn_grid(y)
             if residual < 0.02:
-                return InitialClassification(
-                    eq, ClassificationWitness(t, gn, residual, r0))
-        if t >= t_max:
-            raise ValueError(
-                f"unresolved classification (grad_norm={gn:.3e} at t={t:.3g})")
-
-
-def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm(v)``, bit for bit while ``v @ v`` is finite; past
-    that, the norm of ``v`` scaled by its largest magnitude, so a velocity
-    of size K (the flow is scale-free in K t) never overflows."""
-    with np.errstate(over="ignore"):
-        sq = float(v @ v)
-    if sq < math.inf:
-        return math.sqrt(sq)
-    scale = float(np.abs(v).max())
-    u = v / scale
-    return scale * math.sqrt(float(u @ u))
+                return InitialClassification(eq, ClassificationWitness(
+                    tau / coupling, coupling * gn, residual, r0))
+        if tau >= tau_max:
+            raise ValueError(f"unresolved classification "
+                             f"(grad_norm={coupling * gn:.3e} at t={tau / coupling:.3g})")
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,9 @@ class RunConfig:
             raise ConfigError("conv_tol must be nonnegative and finite")
         if self.max_steps < 0:
             raise ConfigError("max_steps must be nonnegative")
+        if self.model == "generic_dgf" and self.certifiers:
+            # its one verdict, descent, is built in; the certifiers scan oscillator runs
+            raise ConfigError("model generic_dgf takes no [certifiers]")
         for name, kw in self.certifiers.items():
             if name not in CERTIFIERS:
                 raise ConfigError(f"unknown certifier {name!r}")
@@ -625,6 +628,8 @@ _AXES = ("K", "h", "delta", "domega", "N")
 
 def _apply_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
     """``cfg`` with one axis value applied, checked as a loaded config is."""
+    if cfg.model == "generic_dgf" and axis != "h":
+        raise ConfigError(f"model generic_dgf sweeps only over axis h, not {axis!r}")
     c = copy.deepcopy(cfg)
     if axis == "K":
         c.coupling = float(value)
@@ -703,8 +708,7 @@ def execute_sweep(cfg: RunConfig, axis: str, values, out_dir: Path,
                                      "final_grad_norm": math.nan}, "verdicts": []}
         reports.append(result)
 
-    cert_names = list(cfg.certifiers) or (
-        ["descent"] if cfg.model == "generic_dgf" else [])
+    cert_names = ["descent"] if cfg.model == "generic_dgf" else list(cfg.certifiers)
     lines = [",".join(["index", axis, "steps", "stop_reason", "final_grad_norm"]
                       + [f"cert_{n}" for n in cert_names])]
     for i, v in enumerate(values):

@@ -33,9 +33,11 @@ def _finite_difference_gradient(potential, x, eps=1e-6):
 class DescentProblem:
     """Potential/gradient pair with a curvature bound over its working domain.
 
-    hessian_bound is an upper bound on the Hessian curvature (largest
-    absolute eigenvalue) over the domain; the step guard h < 2/hessian_bound
-    derives from it.  domain_check is an optional membership predicate for
+    hessian_bound is an upper bound on the *largest* Hessian eigenvalue over
+    the domain.  It is one-sided: the descent inequality
+    f(x - h g) <= f(x) - h(1 - h C/2)|g|^2 and the step guard
+    h < 2/hessian_bound use only that bound, not the most negative
+    eigenvalue.  domain_check is an optional membership predicate for
     the working domain (None means all of R^dim).  At construction the
     gradient is spot-checked against central finite differences of the
     potential on 10 random domain points.
@@ -293,7 +295,14 @@ def lojasiewicz_probe(problem: DescentProblem, center, radius: float,
 # ---------------------------------------------------------------------------
 
 def kuramoto_problem(freqs: NaturalFrequencies, coupling: float) -> DescentProblem:
-    """The oscillator potential as a DescentProblem with curvature bound 2K.
+    """The oscillator potential as a DescentProblem with curvature bound K.
+
+    With u = e^{i theta} and Z = sum u_j, the Hessian is
+    (K/N)[diag(Re(conj(u_i) Z)) - (c c^T + s s^T)]: the rank-2 term is
+    positive semidefinite and |Re(conj(u_i) Z)| <= N r, so
+    lambda_max <= K r <= K (checked on random phases by
+    tests/test_core.py::test_hessian_largest_eigenvalue_is_at_most_k_r).
+    The bound is sharp: at sync the Euler map has the eigenvalue 1 - hK.
 
     run_descent on this problem reproduces the Euler trajectory of
     :func:`kdgf.integrate.simulate` bit-for-bit for the same (K, h, init).
@@ -310,6 +319,6 @@ def kuramoto_problem(freqs: NaturalFrequencies, coupling: float) -> DescentProbl
         dim=omega.size,
         potential=pot,
         gradient=grad,
-        hessian_bound=2.0 * coupling,
+        hessian_bound=coupling,
         verify_gradient=False,  # analytic pair from the shared core kernels
     )

@@ -11,6 +11,7 @@ import pytest
 
 from kdgf import (
     DescentProblem,
+    DescentResult,
     NaturalFrequencies,
     PhaseConfig,
     SimParams,
@@ -25,6 +26,7 @@ from kdgf import (
     cluster_spec,
     euler_error_bound,
     euler_step,
+    gradient_square_sum,
     kuramoto_gradient,
     kuramoto_problem,
     lojasiewicz_probe,
@@ -97,7 +99,7 @@ def descent_batch():
             n = int(rng.integers(3, 7))
             k = float(rng.choice([0.5, 1.0, 5.0]))
             problem = kuramoto_problem(NaturalFrequencies.zero(n), k)
-            h = float(rng.uniform(0.2, 0.8)) / k  # below the 2/C = 1/K guard
+            h = float(rng.uniform(0.2, 0.8)) / k  # below the 2/C = 2/K guard
             x0 = random_arc(n, 1.2 * math.pi, rng).phases
         else:
             problem = _double_well()
@@ -354,6 +356,50 @@ order_preservation =
         outs.append((out / "trajectory.csv").read_bytes())
     assert outs[0] == outs[1]
     _report("A12", "repeated runs produce byte-identical trajectory.csv")
+
+
+# ---------------------------------------------------------------------------
+# A13: sync for generic data below the sharp step bound hK < 2
+# ---------------------------------------------------------------------------
+
+def _as_descent(traj, problem, h):
+    """The DescentResult run_descent gives on ``problem`` from the run's
+    start: run_descent on kuramoto_problem reproduces simulate bitwise, and
+    its f_values are the trajectory's potentials."""
+    return DescentResult(f_values=traj.potentials, grad_norms=traj.grad_norms,
+                         final_point=traj.phases[-1],
+                         converged=traj.stop_reason == "grad_norm",
+                         h_admissible=h < 2.0 / problem.hessian_bound,
+                         stop_reason=traj.stop_reason, problem=problem, h=h)
+
+
+def test_a13_sync_for_generic_data_below_the_sharp_step_bound():
+    # identical oscillators from full-circle random starts: every run below
+    # hK = 2 descends with C = K and synchronises; above it none converges
+    k = 1.0
+    for n in (3, 8, 32):
+        rng = np.random.default_rng(1300 + n)
+        inits = [random_arc(n, 2 * math.pi - 1e-9, rng) for _ in range(50)]
+        freqs = NaturalFrequencies.zero(n)
+        problem = kuramoto_problem(freqs, k)
+        c = problem.hessian_bound
+        for hk in (0.5, 1.0, 1.5, 1.9):
+            h = hk / k
+            trajs = simulate_batch(inits, [freqs] * len(inits),
+                                   [SimParams(k, h, max_steps=10_000)] * len(inits))
+            for i, traj in enumerate(trajs):
+                where = f"N={n}, hK={hk}, start {i}"
+                assert traj.stop_reason == "grad_norm", where
+                eq = match_equilibrium(traj.final_config())
+                assert eq is not None and eq.kind == "sync", where
+                res = _as_descent(traj, problem, h)
+                assert certify_descent(problem, res, h).passed, where
+                assert gradient_square_sum(res, h, c).holds, where
+        trajs = simulate_batch(inits, [freqs] * len(inits),
+                               [SimParams(k, 2.1 / k, max_steps=2_000)] * len(inits))
+        assert not any(traj.stop_reason == "grad_norm" for traj in trajs), f"N={n}"
+    _report("A13", "50 full-circle starts at N=3, 8, 32 sync and pass descent with "
+            "C = K at hK <= 1.9; none converges at hK = 2.1")
 
 
 # ---------------------------------------------------------------------------

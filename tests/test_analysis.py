@@ -213,6 +213,23 @@ def test_classify_unresolved_reports_grad_norm():
         classify_initial(PhaseConfig([-0.2, -0.1, 0.3]), 1.0, t_max=0.2)
 
 
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_classification_state_does_not_depend_on_coupling(n):
+    # the flow is scale-free in tau = K t: every K reaches the state of K = 1,
+    # and the witness is the K = 1 one in real units, t_end/K and K grad_norm
+    rng = np.random.default_rng(1700 + n)
+    for _ in range(10):
+        init = random_arc(n, 2 * math.pi - 1e-9, rng)
+        ref = classify_initial(init, 1.0)
+        for k in (1e-8, 0.02, 0.5, 3.0, 1e6, 1e300):
+            cls = classify_initial(init, k)
+            assert cls.equilibrium == ref.equilibrium
+            w = cls.witness
+            assert w.t_end * k == pytest.approx(ref.witness.t_end, rel=1e-15, abs=0)
+            assert w.grad_norm / k == pytest.approx(ref.witness.grad_norm, rel=1e-15, abs=0)
+            assert (w.residual, w.r0) == (ref.witness.residual, ref.witness.r0)
+
+
 # ---------------------------------------------------------------------------
 # equilibrium matching
 # ---------------------------------------------------------------------------

@@ -735,6 +735,42 @@ def test_classify_at_huge_coupling(tmp_path):
     assert kinds == ["sync", "sync"]
 
 
+def test_classify_writes_one_state_for_every_coupling(tmp_path):
+    # classification runs in scaled time K t: the state it writes is the same
+    # at every K, and only the witness scales
+    text = ("[run]\nmodel = identical\nn = 5\ninit = random-arc(6.0)\nseed = 3\n"
+            "coupling = {}\nstep = 0.01\n")
+    states = []
+    for k in ("1e-8", "1.0", "1e300"):
+        cfg = write_config(tmp_path / "run.ini", text.format(k))
+        out = tmp_path / k
+        assert main(["classify", cfg, "--out", str(out), "--quiet"]) == 0
+        eq = json.loads((out / "classification.json").read_text())["equilibrium"]
+        states.append({key: eq[key] for key in ("kind", "windings", "phi_star")})
+    assert states[0] == states[1] == states[2]
+
+
+def test_dgf_run_refuses_certifiers(tmp_path, capsys):
+    cfg = write_config(tmp_path / "dgf.ini",
+                       DGF_CFG + "\n[certifiers]\norder_preservation =\n")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert "generic_dgf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis,values", [
+    ("K", "1.0,2.0"), ("N", "1,2"), ("delta", "0.1,0.2"), ("domega", "0.1,0.2"),
+])
+def test_dgf_sweep_refuses_every_axis_but_h(tmp_path, capsys, axis, values):
+    cfg = write_config(tmp_path / "dgf.ini", DGF_CFG)
+    out = tmp_path / "sweep"
+    assert main(["sweep", cfg, "--axis", axis, "--values", values,
+                 "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert "generic_dgf sweeps only over axis h" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("edits", [
     {},
     # a run with no error at all: the run and its reference stay at 0

@@ -254,4 +254,4 @@ def test_kuramoto_embedding_bit_identical():
     res = run_descent(prob, theta, h=h, max_steps=steps, tol=0.0, store_path=True)
     assert res.path.shape == traj.phases.shape
     assert res.path.tobytes() == traj.phases.tobytes()
-    assert prob.hessian_bound == 2 * k
+    assert prob.hessian_bound == k
