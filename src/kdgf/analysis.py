@@ -120,6 +120,16 @@ def effective_series(traj: Trajectory, eq: EquilibriumState) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassificationWitness:
+    """Where the flow stood when classify_initial decided, in real units:
+    time t_end, gradient norm grad_norm, worst phase distance ``residual``
+    to the named state's phases, and the initial order parameter r0.
+
+    Under the half-circle rule the state is read off the theorem, not off
+    the flow's end: t_end is the first window end with the phases inside a
+    half circle (0 when they start there), and grad_norm and residual are
+    read there, so the residual is only known to be below pi.  Under the
+    capture rule grad_norm is below 1e-4 K and residual below 0.02."""
+
     t_end: float
     grad_norm: float
     residual: float
@@ -170,21 +180,36 @@ def classify_initial(init: PhaseConfig, coupling: float, *,
 
     The flow is scale-free in tau = K t, so it runs at K = 1 in scaled time:
     RK4 steps of dtau = RK4_STEP, kdgf's one RK4 step rule with no frequency
-    spread.  Whenever the scaled gradient norm dips below 1e-4 the state is
-    matched against the single-opposed-oscillator grid and classified by
-    parity of the half-turn counts, accepting a worst phase residual below
-    0.02.  The locked state thus does not depend on K; only the witness is
-    read in real units, t_end = tau/K and grad_norm = K |v|.
-    Capturing at the threshold (rather than insisting on grad_norm < 1e-10)
-    matters because opposed-oscillator states are saddle points: rounding
-    noise grows at rate 1 in tau and ejects any double-precision trajectory
-    long before a 1e-10 gradient could be observed there; 1e-4 wins that
-    race with a 1.5x time margin while still pinning the state to ~1e-4 of
-    the critical point.  Reaching t_max (default 1e3/K, tau = 1e3) without a
-    match raises an unresolved-classification error.
+    spread.  At the start and after every 16 steps two rules are tried, in
+    this order:
+
+    - Half circle.  When the unwrapped phases span less than pi, the flow
+      contracts them to one common phase (the half-circle result of H-K-K-Z,
+      which the paper extends), and the conserved phase sum makes that
+      phase the mean, 0: the state is sync with every half-turn count 0.
+      No further step is taken.
+    - Capture.  When the scaled gradient norm is below 1e-4, the state is
+      matched against the single-opposed-oscillator grid and classified by
+      parity of the half-turn counts, accepting a worst phase residual below
+      0.02.  Starts that never enter a half circle (bipolar limits, sync
+      limits with windings) are decided here.
+
+    The locked state thus does not depend on K; only the witness is read in
+    real units, t_end = tau/K and grad_norm = K |v|, at the window where the
+    rule held.  Capturing at the threshold (rather than insisting on
+    grad_norm < 1e-10) matters because opposed-oscillator states are saddle
+    points: rounding noise grows at rate 1 in tau and ejects any
+    double-precision trajectory long before a 1e-10 gradient could be
+    observed there; 1e-4 wins that race with a 1.5x time margin while still
+    pinning the state to ~1e-4 of the critical point.  Reaching t_max
+    (default 1e3/K, tau = 1e3) with neither rule met raises an
+    unresolved-classification error.  K and t_max must be positive and
+    finite.
     """
-    if not coupling > 0:
-        raise ValueError("coupling must be positive")
+    if not 0 < coupling < math.inf:
+        raise ValueError("coupling must be positive and finite")
+    if t_max is not None and not 0 < t_max < math.inf:
+        raise ValueError("t_max must be positive and finite")
     phases = init.phases
     n = phases.size
     scale = 1.0 + float(np.abs(phases).max())
@@ -202,6 +227,10 @@ def classify_initial(init: PhaseConfig, coupling: float, *,
     for y, tau in rk4_flow(phases, omega, 1.0, RK4_STEP, 16):
         v = velocity_arrays(y, omega, 1.0)
         gn = math.sqrt(v @ v)
+        if span(y) < math.pi:
+            eq = EquilibriumState((0,) * n)
+            return InitialClassification(eq, ClassificationWitness(
+                tau / coupling, coupling * gn, float(np.abs(y - eq.reconstruct()).max()), r0))
         if gn < 1e-4:
             eq, residual = _read_half_turn_grid(y)
             if residual < 0.02:

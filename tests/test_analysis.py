@@ -27,7 +27,10 @@ from kdgf import (
     order_parameter,
     simulate,
 )
+from kdgf.analysis import ClassificationWitness
+from kdgf.core import velocity_arrays
 from kdgf.inits import near_bipolar, near_sync, random_arc
+from kdgf.integrate import RK4_STEP, rk4_flow
 
 
 def run_identical(init, k=1.0, h=0.01, steps=10_000, conv_tol=1e-10):
@@ -172,10 +175,15 @@ def test_effective_phases_perturbation_pattern():
 # ---------------------------------------------------------------------------
 
 def test_classify_small_diameter_sync():
-    cls = classify_initial(PhaseConfig([-0.2, -0.1, 0.3]), 1.0)
+    # inside a half circle: decided at t = 0, the witness read at the start
+    init = PhaseConfig([-0.2, -0.1, 0.3])
+    cls = classify_initial(init, 2.0)
     assert cls.kind == "sync"
     assert cls.bipolar_index is None
-    assert np.all(cls.equilibrium.windings == 0)
+    assert cls.equilibrium == EquilibriumState((0, 0, 0))
+    v = velocity_arrays(init.phases, np.zeros(3), 1.0)
+    assert cls.witness == ClassificationWitness(
+        0.0, 2.0 * math.sqrt(v @ v), 0.3, order_parameter(init).r)
 
 
 def test_classify_near_bipolar():
@@ -209,8 +217,21 @@ def test_classify_requires_zero_mean():
 
 
 def test_classify_unresolved_reports_grad_norm():
-    with pytest.raises(ValueError, match="unresolved classification"):
-        classify_initial(PhaseConfig([-0.2, -0.1, 0.3]), 1.0, t_max=0.2)
+    # outside every half circle: near_bipolar(3, 0.01) is captured at tau 12.8
+    with pytest.raises(ValueError, match=r"unresolved classification \(grad_norm="):
+        classify_initial(near_bipolar(3, 0.01), 1.0, t_max=0.2)
+
+
+@pytest.mark.parametrize("coupling", [math.inf, math.nan, 0.0, -1.0])
+def test_classify_rejects_a_coupling_not_positive_and_finite(coupling):
+    with pytest.raises(ValueError, match="coupling must be positive and finite"):
+        classify_initial(near_bipolar(3, 0.01), coupling)
+
+
+@pytest.mark.parametrize("t_max", [math.nan, -1.0, 0.0, math.inf])
+def test_classify_rejects_a_t_max_not_positive_and_finite(t_max):
+    with pytest.raises(ValueError, match="t_max must be positive and finite"):
+        classify_initial(near_bipolar(3, 0.01), 1.0, t_max=t_max)
 
 
 @pytest.mark.parametrize("n", [3, 4, 8])
@@ -228,6 +249,74 @@ def test_classification_state_does_not_depend_on_coupling(n):
             assert w.t_end * k == pytest.approx(ref.witness.t_end, rel=1e-15, abs=0)
             assert w.grad_norm / k == pytest.approx(ref.witness.grad_norm, rel=1e-15, abs=0)
             assert (w.residual, w.r0) == (ref.witness.residual, ref.witness.r0)
+
+
+def capture_oracle(init, k):
+    """classify_initial without its half-circle rule: the RK4 flow at K = 1,
+    checked every 16 steps, matched to the half-turn grid once the scaled
+    gradient norm is below 1e-4 and the residual below 0.02.  Returns the
+    classification and whether any window end had the phases inside a half
+    circle."""
+    omega = np.zeros(init.n)
+    r0 = order_parameter(init).r
+    entered = False
+    for y, tau in rk4_flow(init.phases, omega, 1.0, RK4_STEP, 16):
+        entered = entered or float(y.max() - y.min()) < math.pi
+        v = velocity_arrays(y, omega, 1.0)
+        gn = math.sqrt(v @ v)
+        if gn < 1e-4:
+            eq = match_equilibrium(PhaseConfig(y), tol=0.02)
+            if eq is not None:
+                residual = float(np.abs(y - eq.reconstruct()).max())
+                return eq, ClassificationWitness(tau / k, k * gn, residual, r0), entered
+        assert tau < 1e3, "the oracle did not resolve"
+
+
+def _arcs(n, width, seed, count=100):
+    rng = np.random.default_rng(seed)
+    return [random_arc(n, width, rng) for _ in range(count)]
+
+
+ORACLE_ENSEMBLES = {
+    "arc-0.9pi-n4": (4, 0.9 * math.pi, 1801),
+    "arc-1.5pi-n4": (4, 1.5 * math.pi, 1802),
+    "circle-n4": (4, 2 * math.pi - 1e-9, 1803),
+    "circle-n8": (8, 2 * math.pi - 1e-9, 1804),
+}
+
+
+@pytest.mark.parametrize("ensemble", ORACLE_ENSEMBLES)
+def test_half_circle_rule_names_the_captured_state(ensemble):
+    # a start inside a half circle is named sync at once; the capture of the
+    # full flow names the same state for every start of the ensemble
+    inside = 0
+    for init in _arcs(*ORACLE_ENSEMBLES[ensemble]):
+        cls = classify_initial(init, 1.0)
+        eq, _, entered = capture_oracle(init, 1.0)
+        assert cls.equilibrium == eq
+        inside += entered
+    assert inside > 0
+
+
+def _capture_starts():
+    starts = [near_bipolar(n, d) for n in (3, 4) for d in (0.01, 0.05, 0.1, 0.3)]
+    arcs = [init for init in _arcs(*ORACLE_ENSEMBLES["arc-1.5pi-n4"])
+            if not capture_oracle(init, 1.0)[2]]
+    assert len(arcs) >= 10
+    return starts + arcs
+
+
+@pytest.mark.parametrize("k", [1.0, 0.02])
+def test_capture_decisions_equal_the_oracle_bit_for_bit(k):
+    # starts that never enter a half circle: the near-bipolar ones and the
+    # 1.5 pi arcs that end at a sync state with windings
+    for init in _capture_starts():
+        cls = classify_initial(init, k)
+        eq, witness, entered = capture_oracle(init, k)
+        assert not entered
+        assert (cls.equilibrium, cls.witness) == (eq, witness)
+        assert cls.witness.residual < 0.02
+        assert cls.witness.grad_norm / k < 1e-4
 
 
 # ---------------------------------------------------------------------------

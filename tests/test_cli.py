@@ -750,6 +750,24 @@ def test_classify_writes_one_state_for_every_coupling(tmp_path):
     assert states[0] == states[1] == states[2]
 
 
+def test_classify_decides_a_half_circle_start_at_t_0(tmp_path):
+    # a random-arc(2.0) start lies inside a half circle: sync at t = 0, one
+    # state at every K
+    text = ("[run]\nmodel = identical\nn = 4\ninit = random-arc(2.0)\nseed = 7\n"
+            "coupling = {}\nstep = 0.01\n")
+    states = []
+    for k in ("1e-8", "1.0", "1e300"):
+        cfg = write_config(tmp_path / "run.ini", text.format(k))
+        out = tmp_path / k
+        assert main(["classify", cfg, "--out", str(out), "--quiet"]) == 0
+        report = json.loads((out / "classification.json").read_text())
+        assert report["kind"] == "sync"
+        assert report["witness"]["t_end"] == 0.0
+        eq = report["equilibrium"]
+        states.append({key: eq[key] for key in ("kind", "windings", "phi_star")})
+    assert states[0] == states[1] == states[2]
+
+
 def test_dgf_run_refuses_certifiers(tmp_path, capsys):
     cfg = write_config(tmp_path / "dgf.ini",
                        DGF_CFG + "\n[certifiers]\norder_preservation =\n")
