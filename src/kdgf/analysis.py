@@ -157,6 +157,10 @@ class InitialClassification:
         return None if self.equilibrium is None else self.equilibrium.bipolar_index
 
 
+class WitnessRangeError(ValueError):
+    """classify_initial decided, but its witness in real units is not finite."""
+
+
 def _read_half_turn_grid(y: np.ndarray):
     """Read the half-turn counts of a near-critical state: round each phase
     to the nearest half turn about the mean-field angle.
@@ -204,7 +208,8 @@ def classify_initial(init: PhaseConfig, coupling: float, *,
     pinning the state to ~1e-4 of the critical point.  Reaching t_max
     (default 1e3/K, tau = 1e3) with neither rule met raises an
     unresolved-classification error.  K and t_max must be positive and
-    finite.
+    finite.  A witness that is not finite in real units (t_end at a tiny K,
+    grad_norm at a huge one) raises a WitnessRangeError.
     """
     if not 0 < coupling < math.inf:
         raise ValueError("coupling must be positive and finite")
@@ -229,16 +234,19 @@ def classify_initial(init: PhaseConfig, coupling: float, *,
         gn = math.sqrt(v @ v)
         if span(y) < math.pi:
             eq = EquilibriumState((0,) * n)
-            return InitialClassification(eq, ClassificationWitness(
-                tau / coupling, coupling * gn, float(np.abs(y - eq.reconstruct()).max()), r0))
+            residual = float(np.abs(y - eq.reconstruct()).max())
+            break
         if gn < 1e-4:
             eq, residual = _read_half_turn_grid(y)
             if residual < 0.02:
-                return InitialClassification(eq, ClassificationWitness(
-                    tau / coupling, coupling * gn, residual, r0))
+                break
         if tau >= tau_max:
             raise ValueError(f"unresolved classification "
                              f"(grad_norm={coupling * gn:.3e} at t={tau / coupling:.3g})")
+    witness = ClassificationWitness(tau / coupling, coupling * gn, residual, r0)
+    if not (math.isfinite(witness.t_end) and math.isfinite(witness.grad_norm)):
+        raise WitnessRangeError(f"the classification witness leaves float range: {witness}")
+    return InitialClassification(eq, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -176,10 +176,13 @@ _RUN_KEYS = {f.name for f in dataclasses.fields(RunConfig)} - {"certifiers"}
 
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text()
+        data = json.loads(text) if path.suffix == ".json" else None
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     if path.suffix == ".json":
-        data = _object("the config", json.loads(path.read_text()))
+        data = _object("the config", data)
         _declared("top-level key", data, _SECTIONS)
         run = _object("run", data.get("run", {}))
         certs = {name: _object(f"certifier {name}", {} if opts is None else opts)
@@ -188,7 +191,7 @@ def load_config(path: str | Path) -> RunConfig:
         # no default section: a [DEFAULT] is a section like any other, so is refused
         cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), default_section="")
         try:
-            cp.read(path)
+            cp.read_string(text, source=str(path))
             _declared("section", cp.sections(), _SECTIONS)
             run = dict(cp["run"]) if "run" in cp else None
             certs = dict(cp["certifiers"]) if "certifiers" in cp else {}
@@ -734,7 +737,6 @@ def execute_classify(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> dict
     if cfg.model != "identical":
         raise ConfigError("classification applies to the identical model")
     init, _, _ = build_inputs(cfg)
-    _make_out_dir(out_dir)
     try:
         cls = analysis.classify_initial(init, cfg.coupling)
         report = {
@@ -743,8 +745,11 @@ def execute_classify(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> dict
             "equilibrium": _equilibrium_dict(cls.equilibrium),
             "witness": None if cls.equilibrium is None else dataclasses.asdict(cls.witness),
         }
+    except analysis.WitnessRangeError:
+        raise  # bad input, not an unresolved flow: exit 2 with no --out
     except ValueError as exc:
         report = {"kind": "unresolved", "error": str(exc)}
+    _make_out_dir(out_dir)
     _atomic_write(out_dir / "classification.json",
                   json.dumps(report, sort_keys=True, indent=2).encode())
     if not quiet:

@@ -97,7 +97,7 @@ def simulate(init: PhaseConfig, freqs: NaturalFrequencies,
     ("max_steps"); conv_tol = 0 runs to the cap.  Raises DivergenceError if
     any phase magnitude passes the 1e6 guard.
     """
-    [result] = simulate_batch([init], [freqs], [params])
+    [result] = simulate_batch([init], freqs, params)
     if isinstance(result, DivergenceError):
         raise result
     return result
@@ -106,12 +106,11 @@ def simulate(init: PhaseConfig, freqs: NaturalFrequencies,
 BLOCK_STEPS = 64  # Euler steps between two applications of the guard and stop rule
 
 
-def simulate_batch(inits, freqs, params) -> list:
-    """:func:`simulate` of every row, stepped together: row b runs from
-    ``inits[b]`` with ``freqs[b]`` and ``params[b]``.  All rows have the same
-    N, ``max_steps`` and ``conv_tol``.  Returns one result per row: its
-    Trajectory, bitwise the one simulate gives, or the DivergenceError
-    simulate would raise.
+def simulate_batch(inits, freqs: NaturalFrequencies, params: SimParams) -> list:
+    """:func:`simulate` of many starts of one system, stepped together: row b
+    runs from ``inits[b]`` with ``freqs`` and ``params``.  Returns one result
+    per row: its Trajectory, bitwise the one simulate gives, or the
+    DivergenceError simulate would raise.
 
     Rows step together in blocks of BLOCK_STEPS.  Each block is a
     C-contiguous (steps + 1, rows, N) array, so each row's reductions are
@@ -123,22 +122,14 @@ def simulate_batch(inits, freqs, params) -> list:
     arrays.  Each row keeps its own copy of its stored steps; every row's
     steps are held until the call returns.
     """
-    if not len(inits) == len(freqs) == len(params):
-        raise ValueError("one set of frequencies and parameters per row")
-    if not inits:
-        return []
-    for init, f in zip(inits, freqs):
-        _check_lengths(init, f)
-    n, max_steps, tol = inits[0].n, params[0].max_steps, params[0].conv_tol
-    if any(init.n != n for init in inits):
-        raise ValueError("batch rows need the same number of oscillators")
-    if any((p.max_steps, p.conv_tol) != (max_steps, tol) for p in params):
-        raise ValueError("batch rows need the same max_steps and conv_tol")
-
+    for init in inits:
+        _check_lengths(init, freqs)
+    n, k, h = freqs.omega.size, params.coupling, params.step_size
+    max_steps, tol = params.max_steps, params.conv_tol
+    # as a (1, N) row, omega meets a one-row block shape for shape, and numpy
+    # adds it faster than a broadcast (N,) vector: at N = 4 about 0.5 us a step
+    omega = freqs.omega[np.newaxis]
     theta = np.array([init.phases for init in inits])
-    omega = np.array([f.omega for f in freqs])
-    kk = np.array([[p.coupling] for p in params])
-    h = np.array([[p.step_size] for p in params])
     live = np.arange(len(inits))
     pieces = [[] for _ in inits]  # each row's stored (phases, gradient norms)
     results = [None] * len(inits)
@@ -148,13 +139,12 @@ def simulate_batch(inits, freqs, params) -> list:
         blk = np.empty((steps + 1, live.size, n))
         blk[0] = theta
         vel = np.empty((steps, live.size, n))
-        k_b, h_b = _shared(kk), _shared(h)
         views = list(blk)
         # a row past the guard may step on to inf before the block ends
         with np.errstate(over="ignore", invalid="ignore"):
             for cur, nxt, v in zip(views, views[1:], vel):
-                velocity_arrays(cur, omega, k_b, out=v)
-                np.multiply(v, h_b, out=nxt)
+                velocity_arrays(cur, omega, k, out=v)
+                np.multiply(v, h, out=nxt)
                 nxt += cur
             gnorm = np.sqrt(row_dot(vel, vel))
             m = m0 + np.arange(steps)[:, None]
@@ -176,19 +166,11 @@ def simulate_batch(inits, freqs, params) -> list:
                 reason = "grad_norm" if converged[j, slot] else "max_steps"
                 phases, norms = zip(*pieces[row], (blk[:j + 1, slot], gnorm[:j + 1, slot]))
                 results[row] = _trajectory(np.concatenate(phases), np.concatenate(norms),
-                                           reason, freqs[row], params[row])
+                                           reason, freqs, params)
             pieces[row] = None
-        theta, omega, kk, h, live = blk[steps][keep], omega[keep], kk[keep], h[keep], live[keep]
+        theta, live = blk[steps][keep], live[keep]
         m0 += steps
     return results
-
-
-def _shared(column):
-    """A (B, 1) column as one float when all its rows agree: numpy takes a
-    scalar operand faster than a broadcast column.  At N = 4 a step costs
-    about 3 us less, and a 15 000-step `kdgf run` takes about 9 % less wall
-    time."""
-    return float(column[0, 0]) if (column == column[0, 0]).all() else column
 
 
 def _trajectory(phases, gnorm, reason, freqs, params) -> Trajectory:

@@ -236,7 +236,7 @@ def test_a08_equilibrium_taxonomy():
     sync_count = 0
     inits = [random_arc(n, 1.5 * math.pi, rng) for _ in range(100)]
     inits.append(near_bipolar(n, 0.05))  # one certified opposed-class start
-    trajs = simulate_batch(inits, [freqs] * len(inits), [params] * len(inits))
+    trajs = simulate_batch(inits, freqs, params)
     for init, traj in zip(inits, trajs):
         cls = classify_initial(init, k)
         assert traj.stop_reason == "grad_norm", "run did not converge"
@@ -385,8 +385,7 @@ def test_a13_sync_for_generic_data_below_the_sharp_step_bound():
         c = problem.hessian_bound
         for hk in (0.5, 1.0, 1.5, 1.9):
             h = hk / k
-            trajs = simulate_batch(inits, [freqs] * len(inits),
-                                   [SimParams(k, h, max_steps=10_000)] * len(inits))
+            trajs = simulate_batch(inits, freqs, SimParams(k, h, max_steps=10_000))
             for i, traj in enumerate(trajs):
                 where = f"N={n}, hK={hk}, start {i}"
                 assert traj.stop_reason == "grad_norm", where
@@ -395,8 +394,7 @@ def test_a13_sync_for_generic_data_below_the_sharp_step_bound():
                 res = _as_descent(traj, problem, h)
                 assert certify_descent(problem, res, h).passed, where
                 assert gradient_square_sum(res, h, c).holds, where
-        trajs = simulate_batch(inits, [freqs] * len(inits),
-                               [SimParams(k, 2.1 / k, max_steps=2_000)] * len(inits))
+        trajs = simulate_batch(inits, freqs, SimParams(k, 2.1 / k, max_steps=2_000))
         assert not any(traj.stop_reason == "grad_norm" for traj in trajs), f"N={n}"
     _report("A13", "50 full-circle starts at N=3, 8, 32 sync and pass descent with "
             "C = K at hK <= 1.9; none converges at hK = 2.1")
@@ -416,10 +414,9 @@ def test_a15_small_mesh_reaches_the_flow_limit():
         rng = np.random.default_rng(1500 + n)
         inits = [random_arc(n, 2 * math.pi - 1e-9, rng) for _ in range(150)]
         flow = [classify_initial(init, k).equilibrium for init in inits]
-        freqs = [NaturalFrequencies.zero(n)] * len(inits)
+        freqs = NaturalFrequencies.zero(n)
         for h in steps:
-            trajs = simulate_batch(inits, freqs,
-                                   [SimParams(k, h, max_steps=100_000)] * len(inits))
+            trajs = simulate_batch(inits, freqs, SimParams(k, h, max_steps=100_000))
             limits = [match_equilibrium(traj.final_config()) for traj in trajs]
             if h == steps[0]:
                 assert all(traj.stop_reason == "grad_norm" for traj in trajs)

@@ -27,7 +27,7 @@ from kdgf import (
     order_parameter,
     simulate,
 )
-from kdgf.analysis import ClassificationWitness
+from kdgf.analysis import ClassificationWitness, WitnessRangeError
 from kdgf.core import velocity_arrays
 from kdgf.inits import near_bipolar, near_sync, random_arc
 from kdgf.integrate import RK4_STEP, rk4_flow
@@ -232,6 +232,17 @@ def test_classify_rejects_a_coupling_not_positive_and_finite(coupling):
 def test_classify_rejects_a_t_max_not_positive_and_finite(t_max):
     with pytest.raises(ValueError, match="t_max must be positive and finite"):
         classify_initial(near_bipolar(3, 0.01), 1.0, t_max=t_max)
+
+
+@pytest.mark.parametrize("coupling", [1.7e308, 1e-320], ids=["huge-K", "tiny-K"])
+def test_classify_refuses_a_witness_out_of_float_range(coupling):
+    # at 1.7e308 a start inside a half circle is decided at tau = 0, where
+    # grad_norm = K |v| overflows; at 1e-320 near_bipolar(3, 0.01) is
+    # captured at tau 12.8, where t_end = tau/K overflows
+    init = (random_arc(64, 3.1, np.random.default_rng(1)) if coupling > 1
+            else near_bipolar(3, 0.01))
+    with pytest.raises(WitnessRangeError, match="float range"):
+        classify_initial(init, coupling)
 
 
 @pytest.mark.parametrize("n", [3, 4, 8])

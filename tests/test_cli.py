@@ -21,6 +21,19 @@ def write_config(path, text):
     return str(path)
 
 
+def strict_json(text):
+    """``json.loads`` that refuses NaN and Infinity: ``json.dumps`` writes
+    them for non-finite floats, but they are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def read_json(path):
+    """A JSON file kdgf wrote, parsed strictly."""
+    return strict_json(path.read_text())
+
+
 IDENTICAL_CFG = """
 [run]
 model = identical
@@ -54,7 +67,7 @@ def test_run_identical_with_certifiers(tmp_path):
     cfg = write_config(tmp_path / "run.ini", IDENTICAL_CFG)
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
-    report = json.loads((out / "report.json").read_text())
+    report = read_json(out / "report.json")
     verdicts = {v["name"]: v["passed"] for v in report["verdicts"]}
     assert verdicts == {"order_preservation": True, "diameter_decay": True}
     assert report["trajectory"]["stop_reason"] == "grad_norm"
@@ -69,7 +82,7 @@ def test_run_generic_descent(tmp_path):
     cfg = write_config(tmp_path / "dgf.ini", DGF_CFG)
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
-    report = json.loads((out / "report.json").read_text())
+    report = read_json(out / "report.json")
     v = report["verdicts"][0]
     assert v["name"] == "descent" and v["passed"] and v["converged"]
     final = report["trajectory"]["final_point"]
@@ -119,7 +132,7 @@ def test_json_config_equivalent(tmp_path):
     cfg = write_config(tmp_path / "run.json", json.dumps(data))
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
-    report = json.loads((out / "report.json").read_text())
+    report = read_json(out / "report.json")
     assert report["verdicts"][0]["passed"]
 
 
@@ -155,7 +168,7 @@ def test_report_deterministic_without_timestamp(tmp_path):
     for name in ("r1", "r2"):
         out = tmp_path / name
         assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
-        data = json.loads((out / "report.json").read_text())
+        data = read_json(out / "report.json")
         data.pop("timestamp")
         reports.append(json.dumps(data, sort_keys=True))
     assert reports[0] == reports[1]
@@ -181,7 +194,7 @@ error_bound =
                  "--out", str(out), "--quiet"]) == 0
     truncs = []
     for i in range(3):
-        report = json.loads((out / f"point_{i:03d}" / "report.json").read_text())
+        report = read_json(out / f"point_{i:03d}" / "report.json")
         v = report["verdicts"][0]
         assert v["passed"]
         truncs.append(v["truncation_max"])
@@ -205,7 +218,7 @@ def test_classify_subcommand(tmp_path):
     cfg = write_config(tmp_path / "run.ini", IDENTICAL_CFG)
     out = tmp_path / "cls"
     assert main(["classify", cfg, "--out", str(out), "--quiet"]) == 0
-    report = json.loads((out / "classification.json").read_text())
+    report = read_json(out / "classification.json")
     assert report["kind"] == "sync"
     assert report["equilibrium"]["windings"] == [0, 0, 0]
     # classify builds its inputs as run does: an identical run needs omega = zero
@@ -229,8 +242,8 @@ step = 0.05
 """)
     assert main(["classify", cfg, "--out", str(tmp_path / "cls"), "--quiet"]) == 0
     assert main(["run", cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 0
-    cls = json.loads((tmp_path / "cls" / "classification.json").read_text())
-    run = json.loads((tmp_path / "run" / "report.json").read_text())
+    cls = read_json(tmp_path / "cls" / "classification.json")
+    run = read_json(tmp_path / "run" / "report.json")
     want = {"kind": "sync", "windings": [0, -1, 0, -1], "bipolar_index": None,
             "phi_star": math.pi}
     assert cls["equilibrium"] == want
@@ -240,7 +253,7 @@ step = 0.05
 def test_thresholds_subcommand(capsys):
     assert main(["thresholds", "--n", "4", "--n0", "3", "--l",
                  str(math.pi / 3), "--domega", "0.2"]) == 0
-    data = json.loads(capsys.readouterr().out)
+    data = strict_json(capsys.readouterr().out)
     denom = 0.75 * math.sin(math.pi / 3) - 0.5 * math.sin(math.pi / 6)
     assert data["k_min"] == pytest.approx(0.2 / denom)
     assert data["step_max"] > 0
@@ -288,7 +301,7 @@ def test_sweep_divergent_point_is_a_summary_row(tmp_path, capsys):
     lines = (out / "summary.csv").read_text().splitlines()
     assert lines[0] == "index,h,steps,stop_reason,final_grad_norm,cert_order_preservation"
     assert lines[1] == f"0,1.0,{step},diverged,nan,fail"
-    report = json.loads((out / "point_001" / "report.json").read_text())
+    report = read_json(out / "point_001" / "report.json")
     assert report["trajectory"]["stop_reason"] == "max_steps"
     assert lines[2].startswith("1,0.001,6000,max_steps,") and lines[2].endswith(",pass")
 
@@ -465,7 +478,7 @@ def test_integer_values_accept_whole_numbers(tmp_path):
     cfg = write_config(tmp_path / "run.json", json.dumps(data))
     out = tmp_path / "o"
     assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
-    report = json.loads((out / "report.json").read_text())
+    report = read_json(out / "report.json")
     assert report["config"]["n"] == 3 and report["config"]["seed"] == 7
     assert report["config"]["max_steps"] == 200
     assert report["config"]["certifiers"] == {"fit_decay": {"start": 1, "stop": 50}}
@@ -521,7 +534,7 @@ def test_json_certifier_options_are_numbers(tmp_path):
 
     # a numeric string is read as in an INI file; anything else is bad input
     assert run("1.0", "string") == 0
-    report = json.loads((tmp_path / "string" / "report.json").read_text())
+    report = read_json(tmp_path / "string" / "report.json")
     assert report["config"]["certifiers"] == {"uniform_bound": {"l": 1.0}}
     assert report["verdicts"][0]["passed"]
     assert run("wide", "word") == 2
@@ -533,7 +546,7 @@ def test_unmet_diameter_decay_hypothesis_is_a_verdict(tmp_path):
     cfg = write_config(tmp_path / "run.ini", text)
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
-    report = json.loads((out / "report.json").read_text())
+    report = read_json(out / "report.json")
     verdicts = {v["name"]: v for v in report["verdicts"]}
     assert verdicts["diameter_decay"]["passed"] is False
     assert "exceeds eps" in verdicts["diameter_decay"]["reason"]
@@ -567,7 +580,7 @@ def test_certifier_that_cannot_run_is_a_failed_verdict(tmp_path, init, certifier
     cfg = write_config(tmp_path / "run.ini", text + certifier + "\n")
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
-    report = json.loads((out / "report.json").read_text())
+    report = read_json(out / "report.json")
     intact, failed = report["verdicts"]
     assert failed["passed"] is False and reason in failed["reason"]
     assert intact["name"] == "uniform_bound" and intact["passed"]
@@ -584,7 +597,7 @@ def test_error_bound_with_zero_lipschitz_builds_no_reference(tmp_path, monkeypat
                        NEAR_BIPOLAR_CFG + "error_bound = lipschitz=0\n")
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
-    verdict = json.loads((out / "report.json").read_text())["verdicts"][1]
+    verdict = read_json(out / "report.json")["verdicts"][1]
     assert verdict == {"name": "error_bound", "passed": False,
                        "reason": "lipschitz must be positive"}
 
@@ -599,7 +612,7 @@ def test_sweep_point_whose_certifier_cannot_run_is_a_summary_row(tmp_path):
     lines = (out / "summary.csv").read_text().splitlines()
     assert len(lines) == 4
     assert lines[3].startswith("2,0.5,") and lines[3].endswith(",pass,fail")
-    report = json.loads((out / "point_002" / "report.json").read_text())
+    report = read_json(out / "point_002" / "report.json")
     assert "alpha >= 2K" in report["verdicts"][1]["reason"]
 
 
@@ -640,7 +653,7 @@ def test_error_bound_on_a_run_of_zero_steps(tmp_path):
     cfg = write_config(tmp_path / "run.ini", text + "error_bound =\n")
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
-    report = json.loads((out / "report.json").read_text())
+    report = read_json(out / "report.json")
     assert report["trajectory"]["steps"] == 0
     verdict = report["verdicts"][1]
     assert verdict == {"name": "error_bound", "passed": True,
@@ -662,7 +675,7 @@ def test_error_bound_over_its_substep_budget_builds_no_reference(tmp_path, monke
                        FAST_STEP_CFG.format(60) + "error_bound = max_steps=100\n")
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
-    verdict = json.loads((out / "report.json").read_text())["verdicts"][1]
+    verdict = read_json(out / "report.json")["verdicts"][1]
     assert verdict["name"] == "error_bound" and verdict["passed"] is False
     assert "60 steps of 19 RK4 substeps" in verdict["reason"]
 
@@ -673,13 +686,13 @@ def test_error_bound_at_its_substep_budget_runs(tmp_path):
                        FAST_STEP_CFG.format(190) + "error_bound = max_steps=361\n")
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
-    verdict = json.loads((out / "report.json").read_text())["verdicts"][1]
+    verdict = read_json(out / "report.json")["verdicts"][1]
     assert verdict["name"] == "error_bound" and verdict["passed"] is True
     assert verdict["substeps"] == 19
 
 
 def _without_timestamp(path):
-    report = json.loads(path.read_text())
+    report = read_json(path)
     report.pop("timestamp")
     return report
 
@@ -731,7 +744,7 @@ def test_classify_at_huge_coupling(tmp_path):
         cfg = write_config(tmp_path / "run.ini", text.format(k))
         out = tmp_path / k
         assert main(["classify", cfg, "--out", str(out), "--quiet"]) == 0
-        kinds.append(json.loads((out / "classification.json").read_text())["kind"])
+        kinds.append(read_json(out / "classification.json")["kind"])
     assert kinds == ["sync", "sync"]
 
 
@@ -745,7 +758,7 @@ def test_classify_writes_one_state_for_every_coupling(tmp_path):
         cfg = write_config(tmp_path / "run.ini", text.format(k))
         out = tmp_path / k
         assert main(["classify", cfg, "--out", str(out), "--quiet"]) == 0
-        eq = json.loads((out / "classification.json").read_text())["equilibrium"]
+        eq = read_json(out / "classification.json")["equilibrium"]
         states.append({key: eq[key] for key in ("kind", "windings", "phi_star")})
     assert states[0] == states[1] == states[2]
 
@@ -760,12 +773,27 @@ def test_classify_decides_a_half_circle_start_at_t_0(tmp_path):
         cfg = write_config(tmp_path / "run.ini", text.format(k))
         out = tmp_path / k
         assert main(["classify", cfg, "--out", str(out), "--quiet"]) == 0
-        report = json.loads((out / "classification.json").read_text())
+        report = read_json(out / "classification.json")
         assert report["kind"] == "sync"
         assert report["witness"]["t_end"] == 0.0
         eq = report["equilibrium"]
         states.append({key: eq[key] for key in ("kind", "windings", "phi_star")})
     assert states[0] == states[1] == states[2]
+
+
+@pytest.mark.parametrize("n,init,coupling", [
+    (64, "random-arc(3.1)", "1.7e308"),  # grad_norm = K |v| overflows at t = 0
+    (3, "near-bipolar(0.01)", "1e-320"),  # t_end = tau/K overflows at tau 12.8
+], ids=["huge-K", "tiny-K"])
+def test_classify_refuses_a_witness_out_of_float_range(tmp_path, capsys, n, init, coupling):
+    # bad input, not an unresolved flow: exit 2, and no report
+    cfg = write_config(tmp_path / "run.ini", (
+        f"[run]\nmodel = identical\nn = {n}\ninit = {init}\nseed = 1\n"
+        f"coupling = {coupling}\nstep = 0.01\n"))
+    out = tmp_path / "cls"
+    assert main(["classify", cfg, "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert "float range" in capsys.readouterr().err
 
 
 def test_dgf_run_refuses_certifiers(tmp_path, capsys):
@@ -802,7 +830,7 @@ def test_error_bound_with_huge_lipschitz(tmp_path, edits):
     cfg = write_config(tmp_path / "run.ini", text + "error_bound = lipschitz=1e300\n")
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
-    verdict = json.loads((out / "report.json").read_text())["verdicts"][1]
+    verdict = read_json(out / "report.json")["verdicts"][1]
     # an envelope that overflows is +inf, which every finite error meets
     assert verdict["name"] == "error_bound" and verdict["passed"] is True
     if edits:
@@ -972,7 +1000,7 @@ def test_scan_verdicts_keep_their_report_keys(tmp_path, case):
     cfg = write_config(tmp_path / "run.ini", text)
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
-    assert json.loads((out / "report.json").read_text())["verdicts"] == expected
+    assert read_json(out / "report.json")["verdicts"] == expected
 
 
 RANDOM_ARC_CFG = NONIDENTICAL_CFG.replace("near-sync(0.1)", "random-arc(2.0)").replace(
@@ -999,7 +1027,7 @@ def test_two_sided_decay_default_alpha_is_the_theory_rate(tmp_path):
     cfg = write_config(tmp_path / "run.ini", NEAR_BIPOLAR_CFG + "two_sided_decay = tol=0.2\n")
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
-    verdict = json.loads((out / "report.json").read_text())["verdicts"][1]
+    verdict = read_json(out / "report.json")["verdicts"][1]
     # K((N-1) sin(eps)/eps - 1)/(2N) at N = 4, K = 1 and the default eps = 0.3
     assert verdict["name"] == "two_sided_decay"
     assert verdict["alpha"] == pytest.approx((3 * math.sin(0.3) / 0.3 - 1) / 8, rel=1e-15)
@@ -1013,7 +1041,7 @@ def test_unresolved_classification_is_a_report(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path / "run.ini", IDENTICAL_CFG)
     out = tmp_path / "cls"
     assert main(["classify", cfg, "--out", str(out), "--quiet"]) == 0
-    assert json.loads((out / "classification.json").read_text()) == {
+    assert read_json(out / "classification.json") == {
         "kind": "unresolved",
         "error": "unresolved classification (grad_norm=1.000e-03 at t=1e+03)"}
     assert capsys.readouterr().out == ""
@@ -1022,7 +1050,7 @@ def test_unresolved_classification_is_a_report(tmp_path, monkeypatch, capsys):
 def test_thresholds_with_dtheta0_report_the_sync_threshold(capsys):
     assert main(["thresholds", "--n", "4", "--n0", "3", "--l", "1.0", "--domega", "0.2",
                  "--dtheta0", "0.5"]) == 0
-    data = json.loads(capsys.readouterr().out)
+    data = strict_json(capsys.readouterr().out)
     assert data["sync_threshold"] == 0.2 / math.sin(0.5)
     assert data["domega"] == 0.2 and "d_omega" not in data
 
@@ -1036,7 +1064,7 @@ def test_error_bound_over_its_step_cap_names_the_run_length(tmp_path, monkeypatc
                        FAST_STEP_CFG.format(60) + "error_bound = max_steps=59\n")
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
-    verdict = json.loads((out / "report.json").read_text())["verdicts"][1]
+    verdict = read_json(out / "report.json")["verdicts"][1]
     assert verdict == {"name": "error_bound", "passed": False,
                        "reason": "run too long for the reference integration"}
 
@@ -1046,9 +1074,8 @@ def test_run_with_json_format_writes_the_json_trajectory(tmp_path):
     out = tmp_path / "out"
     assert main(["run", cfg, "--format", "json", "--out", str(out), "--quiet"]) == 0
     assert sorted(f.name for f in out.iterdir()) == ["report.json", "trajectory.json"]
-    table = json.loads((out / "trajectory.json").read_text())
-    assert len(table["potential"]) == json.loads(
-        (out / "report.json").read_text())["trajectory"]["steps"] + 1
+    table = read_json(out / "trajectory.json")
+    assert len(table["potential"]) == read_json(out / "report.json")["trajectory"]["steps"] + 1
 
 
 def test_classify_takes_no_format_flag(tmp_path, capsys):
@@ -1074,8 +1101,7 @@ def test_commands_print_their_results_unless_quiet(tmp_path, capsys):
     assert main(["classify", cfg, "--out", str(tmp_path / "cls")]) == 0
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 1
-    assert json.loads(printed[0]) == json.loads(
-        (tmp_path / "cls" / "classification.json").read_text())
+    assert strict_json(printed[0]) == read_json(tmp_path / "cls" / "classification.json")
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -7,6 +7,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,3 +116,24 @@ def test_ini_config_never_raises(run, certs):
 def test_json_config_never_raises(top_junk, junk, data):
     text = json.dumps(junk if top_junk == 5 else data)
     assert run_config("run.json", text) in (0, 2, 3)
+
+
+@pytest.mark.parametrize("name", ["run.json", "run.ini"])
+def test_a_directory_config_exits_2(tmp_path, capsys, name):
+    (tmp_path / name).mkdir()
+    out = tmp_path / "out"
+    assert main(["run", str(tmp_path / name), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert "cannot read config" in capsys.readouterr().err
+
+
+def test_a_deeply_nested_json_config_exits_2():
+    # json.loads recurses once per level
+    assert run_config("run.json", "[" * 10**5 + "]" * 10**5) == 2
+
+
+def test_a_config_that_does_not_decode_exits_2(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_bytes(b"\xff[run]\nn = 3\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert not (tmp_path / "out").exists()

@@ -251,60 +251,68 @@ def assert_same_run(traj, init, freqs, params):
     assert single.stop_reason == reason
 
 
-def batch_rows(n, seed, max_steps=20_000, conv_tol=1e-10):
-    """A fixed point that stops at step 0, then rows with their own start,
-    frequencies, K and h that stop at various steps."""
+def ensembles(n, seed, max_steps=20_000, conv_tol=1e-10):
+    """Three systems, each with its own frequencies, K and h, and one batch
+    of starts: equal phases (a fixed point of the identical system, which
+    stops at step 0), near-sync starts and random arcs."""
     rng = np.random.default_rng(seed)
-    starts = [PhaseConfig(np.full(n, 0.3))]
-    freqs = [NaturalFrequencies.zero(n)]
-    couplings, steps = [1.0], [0.05]
-    for k, h, spread in ((1.0, 0.05, 0.0), (2.5, 0.08, 0.1), (0.7, 0.02, 0.0),
-                         (4.0, 0.03, 0.2), (0.3, 0.1, 0.05)):
-        starts.append(inits.random_arc(n, 2.0, rng))
-        freqs.append(inits.uniform_frequencies(n, spread, rng) if spread
-                     else NaturalFrequencies.zero(n))
-        couplings.append(k)
-        steps.append(h)
-    params = [SimParams(k, h, max_steps=max_steps, conv_tol=conv_tol)
-              for k, h in zip(couplings, steps)]
-    return starts, freqs, params
+    for k, h, spread in ((1.0, 0.05, 0.0), (2.5, 0.08, 0.1), (0.7, 0.1, 0.3)):
+        freqs = (inits.uniform_frequencies(n, spread, rng) if spread
+                 else NaturalFrequencies.zero(n))
+        starts = [PhaseConfig(np.full(n, 0.3)), inits.near_sync(n, 1e-3),
+                  inits.near_sync(n, 0.5), inits.random_arc(n, 2.0, rng),
+                  inits.random_arc(n, 5.0, rng)]
+        yield starts, freqs, SimParams(k, h, max_steps=max_steps, conv_tol=conv_tol)
 
 
 @pytest.mark.parametrize("n", [2, 4, 7, 64, 1000])
 def test_simulate_batch_rows_equal_single_runs(n):
-    starts, freqs, params = batch_rows(n, seed=n)
-    trajs = simulate_batch(starts, freqs, params)
-    for traj, init, f, p in zip(trajs, starts, freqs, params):
-        assert_same_run(traj, init, f, p)
-    assert trajs[0].n_steps == 0 and trajs[0].stop_reason == "grad_norm"
-    blocks = {t.n_steps // integrate.BLOCK_STEPS for t in trajs}
-    assert len(blocks) >= 3  # rows stop in different blocks
+    for i, (starts, freqs, params) in enumerate(ensembles(n, seed=n)):
+        trajs = simulate_batch(starts, freqs, params)
+        for traj, init in zip(trajs, starts):
+            assert_same_run(traj, init, freqs, params)
+        if i == 0:
+            assert trajs[0].n_steps == 0 and trajs[0].stop_reason == "grad_norm"
+            blocks = {t.n_steps // integrate.BLOCK_STEPS for t in trajs}
+            assert len(blocks) >= 3  # rows stop in different blocks
 
 
 @pytest.mark.parametrize("max_steps", [0, 1, 63, 64, 65, 150])
 def test_simulate_batch_runs_to_the_cap(max_steps):
-    starts, freqs, params = batch_rows(7, seed=3, max_steps=max_steps, conv_tol=0.0)
-    for traj, init, f, p in zip(simulate_batch(starts, freqs, params),
-                                starts, freqs, params):
-        assert traj.n_steps == max_steps and traj.stop_reason == "max_steps"
-        assert_same_run(traj, init, f, p)
+    for starts, freqs, params in ensembles(7, seed=3, max_steps=max_steps, conv_tol=0.0):
+        for traj, init in zip(simulate_batch(starts, freqs, params), starts):
+            assert traj.n_steps == max_steps and traj.stop_reason == "max_steps"
+            assert_same_run(traj, init, freqs, params)
 
 
 def test_simulate_batch_divergent_row_among_converging_rows():
-    drift = (PhaseConfig([-1.0, 1.0]), NaturalFrequencies([-200.0, 200.0]),
-             SimParams(coupling=1e-6, step_size=1.0, max_steps=100_000))
-    calm = [(PhaseConfig([-a, a]), NaturalFrequencies.zero(2),
-             SimParams(coupling=1.0, step_size=h, max_steps=100_000))
-            for a, h in ((0.5, 0.1), (1.2, 0.01), (0.1, 0.3))]
-    rows = [calm[0], drift, *calm[1:]]
-    results = simulate_batch(*zip(*rows))
-    assert isinstance(results[1], DivergenceError)
-    with pytest.raises(DivergenceError) as exc:
-        simulate(*drift)
-    assert results[1].step == exc.value.step == 5000
-    for traj, row in zip(results[:1] + results[2:], calm):
+    # a start beyond the guard diverges at step 1; the rows beside it converge
+    freqs, params = NaturalFrequencies.zero(2), SimParams(1.0, 0.1, max_steps=100_000)
+    calm = [PhaseConfig([-a, a]) for a in (0.5, 1.2, 0.1)]
+    far = PhaseConfig([2e6, 2e6 + 0.1])
+    results = simulate_batch([calm[0], far, *calm[1:]], freqs, params)
+    assert isinstance(results[1], DivergenceError) and results[1].step == 1
+    for traj, init in zip(results[:1] + results[2:], calm):
         assert traj.stop_reason == "grad_norm"
-        assert_same_run(traj, *row)
+        assert_same_run(traj, init, freqs, params)
+
+    # drifting phases pass the guard at steps 5000, 4501 and 3001, each as in
+    # its single run; under a cap of 4000 only the last row diverges, and the
+    # rows beside it run on to the cap
+    freqs = NaturalFrequencies([-200.0, 200.0])
+    starts = [PhaseConfig([-a, a]) for a in (1.0, 1e5, 4e5)]
+    params = SimParams(coupling=1e-6, step_size=1.0, max_steps=100_000)
+    for result, init, step in zip(simulate_batch(starts, freqs, params), starts,
+                                  (5000, 4501, 3001)):
+        with pytest.raises(DivergenceError) as exc:
+            simulate(init, freqs, params)
+        assert result.step == exc.value.step == step
+    capped = SimParams(coupling=1e-6, step_size=1.0, max_steps=4000)
+    *run_on, diverged = simulate_batch(starts, freqs, capped)
+    assert isinstance(diverged, DivergenceError) and diverged.step == 3001
+    for traj, init in zip(run_on, starts):
+        assert traj.stop_reason == "max_steps"
+        assert_same_run(traj, init, freqs, capped)
 
 
 def test_guard_skips_the_initial_state():
@@ -314,7 +322,16 @@ def test_guard_skips_the_initial_state():
     with pytest.raises(DivergenceError) as exc:
         simulate(*far)
     assert exc.value.step == 1
-    assert simulate_batch(*zip(far))[0].step == 1
+    assert simulate_batch([far[0]], *far[1:])[0].step == 1
+
+
+def off_the_saddle(n, kick):
+    """The bipolar saddle, N - 1 phases at -pi/N and one half a turn away,
+    with the odd phase moved by ``kick``: the run lingers near the saddle
+    before it synchronises."""
+    phases = np.full(n, -math.pi / n)
+    phases[-1] = (n - 1) * math.pi / n + kick
+    return PhaseConfig(phases)
 
 
 @pytest.mark.parametrize("n", [8, 64])
@@ -322,32 +339,28 @@ def test_simulate_batch_rows_leave_exactly(n):
     # six of eight rows stop early and leave the batch; the two long rows
     # step on alone and must still match their single runs
     rng = np.random.default_rng(n)
-    starts = [inits.random_arc(n, 2.0, rng) for _ in range(8)]
-    freqs = [inits.uniform_frequencies(n, 0.1, rng) for _ in range(8)]
-    params = [SimParams(k, 0.05, max_steps=5000)
-              for k in (4.0, 0.05, 3.0, 2.0, 0.08, 5.0, 2.5, 3.5)]
+    starts = [inits.random_arc(n, 2.0, rng), off_the_saddle(n, 1e-9),
+              inits.random_arc(n, 5.0, rng), inits.near_sync(n, 0.3),
+              off_the_saddle(n, 1e-8), inits.random_arc(n, 6.0, rng),
+              inits.near_sync(n, 1e-3), inits.random_arc(n, 1.0, rng)]
+    freqs, params = NaturalFrequencies.zero(n), SimParams(1.0, 0.05, max_steps=5000)
     trajs = simulate_batch(starts, freqs, params)
     long_rows = [1, 4]
     assert min(trajs[i].n_steps for i in long_rows) > 2 * integrate.BLOCK_STEPS + max(
         t.n_steps for i, t in enumerate(trajs) if i not in long_rows)
-    for traj, init, f, p in zip(trajs, starts, freqs, params):
-        assert_same_run(traj, init, f, p)
+    for traj, init in zip(trajs, starts):
+        assert traj.stop_reason == "grad_norm"
+        assert_same_run(traj, init, freqs, params)
         assert traj.phases.flags.c_contiguous
 
 
 def test_simulate_batch_checks_its_rows():
-    a = (PhaseConfig([0.1, -0.1]), NaturalFrequencies.zero(2), SimParams(1.0, 0.1))
-    b = (PhaseConfig([0.1, 0.0, -0.1]), NaturalFrequencies.zero(3), SimParams(1.0, 0.1))
-    c = (PhaseConfig([0.1, -0.1]), NaturalFrequencies.zero(2),
-         SimParams(1.0, 0.1, max_steps=10))
-    assert simulate_batch([], [], []) == []
-    for rows in ((a, b), (a, c)):
-        with pytest.raises(ValueError, match="batch rows need"):
-            simulate_batch(*zip(*rows))
-    with pytest.raises(ValueError, match="length mismatch"):
-        simulate_batch([a[0]], [b[1]], [a[2]])
-    with pytest.raises(ValueError, match="one set"):
-        simulate_batch([a[0], a[0]], [a[1]], [a[2]])
+    freqs, params = NaturalFrequencies.zero(2), SimParams(1.0, 0.1)
+    assert simulate_batch([], freqs, params) == []
+    pair, triple = PhaseConfig([0.1, -0.1]), PhaseConfig([0.1, 0.0, -0.1])
+    for starts in ([triple], [pair, triple]):
+        with pytest.raises(ValueError, match="length mismatch"):
+            simulate_batch(starts, freqs, params)
 
 
 # ---------------------------------------------------------------------------
