@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (PhaseConfig, mean_field, order_from_mean_field, span, subset_indices,
-                   velocity_arrays)
+from .core import (PhaseConfig, has_repeats, mean_field, order_from_mean_field, span,
+                   subset_indices, velocity_arrays)
 from .integrate import RK4_STEP, Trajectory, rk4_flow
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ def classify_initial(init: PhaseConfig, coupling: float, *,
         raise ValueError("classification requires zero-mean initial data")
 
     r0 = float(order_from_mean_field(mean_field(phases), n)[0])
-    if np.unique(phases).size < n or r0 < 1e-12:
+    if has_repeats(phases) or r0 < 1e-12:
         return InitialClassification(
             None, ClassificationWitness(0.0, math.nan, math.nan, r0))
 

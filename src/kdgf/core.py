@@ -129,16 +129,26 @@ def span(values: np.ndarray):
     return values.max(axis=-1) - values.min(axis=-1)
 
 
+def has_repeats(values: np.ndarray) -> bool:
+    """Whether two entries of a 1-d array are equal, found as np.unique finds
+    them but without the numpy.ma import that its first call costs."""
+    v = np.sort(values)
+    return bool((v[1:] == v[:-1]).any())
+
+
 def mean_field(theta: np.ndarray):
-    """Z = sum_j exp(i theta_j) over the last axis of ``theta``.
+    """Z = C + iS over the last axis of ``theta``, C = sum_j cos(theta_j) and
+    S = sum_j sin(theta_j): the sums :func:`coupling_sums` reduces, in its
+    order, so Z is bitwise the one an Euler step from ``theta`` forms.
 
     The coupling, the potential and the order parameter all derive from Z,
     which makes every one of them O(N) per configuration (Kuramoto 1975).
     """
-    return np.exp(1j * theta).sum(axis=-1)
+    return np.add.reduce(np.cos(theta), -1) + 1j * np.add.reduce(np.sin(theta), -1)
 
 
-def coupling_sums(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def coupling_sums(theta: np.ndarray, out: np.ndarray | None = None,
+                  sums=(None, None)) -> np.ndarray:
     """sum_j sin(theta_j - theta_i) for every i, in O(N), over the last axis
     of ``theta``: one configuration (N,) or one per row (B, N).
 
@@ -147,28 +157,31 @@ def coupling_sums(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
                                    - sin(theta_i) sum_j cos(theta_j).
     Rounding error is of order N * eps against the pairwise sum.  A row of a
     C-contiguous (B, N) array is summed in the same order as the same row
-    alone, so each row's result is bitwise that of the (N,) call.
+    alone, so each row's result is bitwise that of the (N,) call.  For (B, N)
+    ``theta``, ``sums`` may name two (B, 1) arrays that receive the sine and
+    cosine sums S and C, the mean field's parts.
     """
     # row sums as a (B, 1) column; one configuration's as a scalar, which
     # numpy takes faster than a (1,) array
     rows = theta.ndim > 1
     s = np.sin(theta)
     c = np.cos(theta)
-    out = np.multiply(c, np.add.reduce(s, -1, keepdims=rows), out=out)
-    s *= np.add.reduce(c, -1, keepdims=rows)
+    out = np.multiply(c, np.add.reduce(s, -1, keepdims=rows, out=sums[0]), out=out)
+    s *= np.add.reduce(c, -1, keepdims=rows, out=sums[1])
     out -= s
     return out
 
 
-def velocity_arrays(theta, omega, coupling, out=None):
+def velocity_arrays(theta, omega, coupling, out=None, sums=(None, None)):
     """Right-hand side omega_i + (K/N) sum_j sin(theta_j - theta_i).
 
     This equals minus the potential gradient; every stepper and gradient
     evaluation funnels through this function so the identities between them
     hold bit-exactly.  ``theta`` is (N,) or (B, N); ``coupling`` is a scalar
-    or a (B, 1) column and ``omega`` is (N,) or (B, N).
+    and ``omega`` is (N,) or (1, N).  ``out`` and ``sums`` are optional
+    output arrays for the result and for the sums of :func:`coupling_sums`.
     """
-    v = coupling_sums(theta, out)
+    v = coupling_sums(theta, out, sums)
     v *= coupling / theta.shape[-1]
     v += omega
     return v
@@ -199,21 +212,6 @@ def order_from_mean_field(z, n: int):
 def potential_arrays(theta, omega, coupling) -> float:
     """-sum_i omega_i theta_i + (K/2N) sum_ij (1 - cos(theta_j - theta_i))."""
     return float(potential_from_mean_field(mean_field(theta), theta, omega, coupling))
-
-
-def diagnostic_series(phases, omega, coupling):
-    """Diameter, potential, order_r and order_phi of every row, each from the
-    row alone, the last three from its mean field Z.  Rows go in chunks of
-    about CHUNK_PHASES phases so the workspace stays bounded on long runs."""
-    m, n = phases.shape
-    potentials = np.empty(m)
-    order_r = np.empty(m)
-    order_phi = np.empty(m)
-    for rows in row_chunks(m, n):
-        z = mean_field(phases[rows])
-        potentials[rows] = potential_from_mean_field(z, phases[rows], omega, coupling)
-        order_r[rows], order_phi[rows] = order_from_mean_field(z, n)
-    return span(phases), potentials, order_r, order_phi
 
 
 def _check_lengths(config: PhaseConfig, freqs: NaturalFrequencies):

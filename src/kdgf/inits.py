@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from .core import NaturalFrequencies, PhaseConfig, mean_field, order_from_mean_field
+from .core import (NaturalFrequencies, PhaseConfig, has_repeats, mean_field,
+                   order_from_mean_field)
 
 
 def near_sync(n: int, delta: float) -> PhaseConfig:
@@ -44,7 +45,7 @@ def random_arc(n: int, width: float, rng: np.random.Generator) -> PhaseConfig:
     for _ in range(100):
         theta = rng.uniform(-width / 2.0, width / 2.0, n)
         theta -= theta.mean()
-        if np.unique(theta).size < n:
+        if has_repeats(theta):
             continue
         if order_from_mean_field(mean_field(theta), n)[0] < 1e-9:
             continue

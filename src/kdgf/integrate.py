@@ -13,9 +13,11 @@ from .core import (
     PhaseConfig,
     SimParams,
     _check_lengths,
-    diagnostic_series,
+    order_from_mean_field,
+    potential_from_mean_field,
     row_chunks,
     row_dot,
+    span,
     velocity_arrays,
 )
 
@@ -114,10 +116,12 @@ def simulate_batch(inits, freqs: NaturalFrequencies, params: SimParams) -> list:
 
     Rows step together in blocks of BLOCK_STEPS.  Each block is a
     C-contiguous (steps + 1, rows, N) array, so each row's reductions are
-    those of the row alone.  The guard and the stop rule are applied at block
-    ends, in the per-step order guard, gradient norm, step cap, so a row's
-    result is exactly that of a step-by-step check; a row past the guard
-    steps on to the end of its block, and those steps are discarded.
+    those of the row alone.  Each step keeps the sums S and C that its kernel
+    call reduces, the mean field Z = C + iS of its state, for the row's
+    potential and order parameter series.  The guard and the stop rule are
+    applied at block ends, in the per-step order guard, gradient norm, step
+    cap, so a row's result is exactly that of a step-by-step check; a row past
+    the guard steps on to the end of its block, and those steps are discarded.
     Live rows always share one step index; a row that stops leaves the live
     arrays.  Each row keeps its own copy of its stored steps; every row's
     steps are held until the call returns.
@@ -131,7 +135,7 @@ def simulate_batch(inits, freqs: NaturalFrequencies, params: SimParams) -> list:
     omega = freqs.omega[np.newaxis]
     theta = np.array([init.phases for init in inits])
     live = np.arange(len(inits))
-    pieces = [[] for _ in inits]  # each row's stored (phases, gradient norms)
+    pieces = [[] for _ in inits]  # each row's stored (phases, gradient norms, S, C)
     results = [None] * len(inits)
     m0 = 0  # the step index of every live row
     while live.size:
@@ -139,11 +143,12 @@ def simulate_batch(inits, freqs: NaturalFrequencies, params: SimParams) -> list:
         blk = np.empty((steps + 1, live.size, n))
         blk[0] = theta
         vel = np.empty((steps, live.size, n))
+        sums = np.empty((2, steps, live.size, 1))  # S and C of each step's state
         views = list(blk)
         # a row past the guard may step on to inf before the block ends
         with np.errstate(over="ignore", invalid="ignore"):
-            for cur, nxt, v in zip(views, views[1:], vel):
-                velocity_arrays(cur, omega, k, out=v)
+            for cur, nxt, v, sc in zip(views, views[1:], vel, zip(*sums)):
+                velocity_arrays(cur, omega, k, v, sc)
                 np.multiply(v, h, out=nxt)
                 nxt += cur
             gnorm = np.sqrt(row_dot(vel, vel))
@@ -157,37 +162,32 @@ def simulate_batch(inits, freqs: NaturalFrequencies, params: SimParams) -> list:
         for slot, row in enumerate(live.tolist()):
             if keep[slot]:
                 pieces[row].append((np.ascontiguousarray(blk[:steps, slot]),
-                                    np.ascontiguousarray(gnorm[:, slot])))
+                                    np.ascontiguousarray(gnorm[:, slot]),
+                                    *np.ascontiguousarray(sums[:, :, slot, 0])))
                 continue
             j = int(stop[:, slot].argmax())  # the row's stop step is m0 + j
             if diverged[j, slot]:
                 results[row] = DivergenceError(m0 + j)
-            else:
-                reason = "grad_norm" if converged[j, slot] else "max_steps"
-                phases, norms = zip(*pieces[row], (blk[:j + 1, slot], gnorm[:j + 1, slot]))
-                results[row] = _trajectory(np.concatenate(phases), np.concatenate(norms),
-                                           reason, freqs, params)
-            pieces[row] = None
+                pieces[row] = None
+                continue
+            reason = "grad_norm" if converged[j, slot] else "max_steps"
+            last = (blk[:j + 1, slot], gnorm[:j + 1, slot], *sums[:, :j + 1, slot, 0])
+            phases, norms, s, c = map(np.concatenate, zip(*pieces[row], last))
+            pieces[row] = None  # freed before the series are built from the joined sums
+            results[row] = _trajectory(phases, norms, c + 1j * s, reason, freqs, params)
         theta, live = blk[steps][keep], live[keep]
         m0 += steps
     return results
 
 
-def _trajectory(phases, gnorm, reason, freqs, params) -> Trajectory:
+def _trajectory(phases, gnorm, z, reason, freqs, params) -> Trajectory:
+    """The run's Trajectory, its series read from ``z``, each stored step's mean field."""
     phases.setflags(write=False)
-    diameters, potentials, order_r, order_phi = diagnostic_series(
-        phases, freqs.omega, params.coupling)
-    return Trajectory(
-        phases=phases,
-        params=params,
-        freqs=freqs,
-        diameters=diameters,
-        potentials=potentials,
-        grad_norms=gnorm,
-        order_r=order_r,
-        order_phi=order_phi,
-        stop_reason=reason,
-    )
+    potentials = potential_from_mean_field(z, phases, freqs.omega, params.coupling)
+    order_r, order_phi = order_from_mean_field(z, phases.shape[1])
+    return Trajectory(phases=phases, params=params, freqs=freqs, diameters=span(phases),
+                      potentials=potentials, grad_norms=gnorm, order_r=order_r,
+                      order_phi=order_phi, stop_reason=reason)
 
 
 # ---------------------------------------------------------------------------

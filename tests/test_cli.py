@@ -913,6 +913,22 @@ def test_importing_the_cli_leaves_out_the_process_pool():
     assert out == "[]\n"
 
 
+def test_random_arc_run_and_classify_leave_out_numpy_ma(tmp_path):
+    # the duplicate-phase checks sort and compare neighbours: np.unique's
+    # first call imports numpy.ma, which every random-arc start would pay for
+    cfg = write_config(tmp_path / "run.ini", "[run]\nmodel = identical\nn = 4\n"
+                       "init = random-arc(3.0)\nseed = 1\ncoupling = 1.0\nstep = 0.01\n"
+                       "max_steps = 100\n")
+    code = ("import sys; from kdgf.cli import main; "
+            f"assert main(['run', {cfg!r}, '--out', {str(tmp_path / 'r')!r}, '--quiet']) == 0; "
+            f"assert main(['classify', {cfg!r}, '--out', {str(tmp_path / 'c')!r}, '--quiet']) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out == "False\n"
+
+
 # The verdict keys and values of every trajectory scan, failing where it can,
 # pinned so a change to the analysis records cannot change report.json.
 SCAN_REPORTS = {

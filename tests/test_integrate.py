@@ -1,6 +1,7 @@
 """Tests for the Euler stepper, the RK4 reference, and the error bound."""
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ def _nonidentical_run(n, max_steps, seed=5):
 
 
 @pytest.mark.parametrize("n,max_steps", [(4, 300), (64, 300), (300, 300),
-                                         (64, 5000)])  # 320 064 phases: two chunks
+                                         (64, 5000)])  # 320 064 phases: 79 blocks
 def test_trajectory_series_equal_the_per_config_functions_bitwise(n, max_steps):
     traj = _nonidentical_run(n, max_steps)
     f, k = traj.freqs, traj.params.coupling
@@ -202,6 +203,21 @@ def test_a_steps_diagnostics_do_not_depend_on_the_run_length():
         assert np.array_equal(long.phases[:rows], short.phases)
         for name in ("potentials", "order_r", "order_phi", "diameters", "grad_norms"):
             assert np.array_equal(getattr(long, name)[:rows], getattr(short, name)), name
+
+
+def test_simulate_peak_memory_is_the_stored_run_and_its_pieces():
+    # the diagnostics read each step's mean-field sums: no pass over the
+    # stored phases builds a complex (rows x N) temporary on top of the
+    # pieces and their concatenation
+    init = inits.random_arc(64, 2.0, np.random.default_rng(1))
+    f = inits.uniform_frequencies(64, 0.2, np.random.default_rng(2))
+    tracemalloc.start()
+    try:
+        traj = simulate(init, f, SimParams(1.0, 0.04, max_steps=20_000, conv_tol=0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * traj.phases.nbytes
 
 
 def test_simulate_large_n_near_sync_reaches_grad_tol():
