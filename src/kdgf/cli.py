@@ -106,12 +106,11 @@ class RunConfig:
             raise ConfigError("conv_tol must be nonnegative and finite")
         if self.max_steps < 0:
             raise ConfigError("max_steps must be nonnegative")
-        if self.model == "generic_dgf" and self.certifiers:
-            # its one verdict, descent, is built in; the certifiers scan oscillator runs
-            raise ConfigError("model generic_dgf takes no [certifiers]")
         for name, kw in self.certifiers.items():
             if name not in CERTIFIERS:
                 raise ConfigError(f"unknown certifier {name!r}")
+            if self.model == "generic_dgf" and name not in ("descent", "gradient_square_sum"):
+                raise ConfigError(f"model generic_dgf has no phases for certifier {name!r}")
             try:  # the certifier's signature declares its options
                 inspect.signature(CERTIFIERS[name]).bind(None, **kw)
             except TypeError as exc:
@@ -121,6 +120,11 @@ class RunConfig:
                     raise ConfigError(f"{name} option {key} must be finite")
             if "eps" in kw and not kw["eps"] > 0:
                 raise ConfigError(f"{name} option eps must be positive and finite")
+
+    @property
+    def applied_certifiers(self) -> dict:
+        """The run's [certifiers]; without any, descent for generic_dgf."""
+        return self.certifiers or ({"descent": {}} if self.model == "generic_dgf" else {})
 
 
 def _number(key: str, value) -> float:
@@ -409,6 +413,19 @@ def _cert_error_bound(traj, lipschitz=None, max_steps=20_000):
             "substeps": oracle.substeps}
 
 
+def _cert_descent(traj):
+    f_values, grad_norms, h, c = descent.descent_series(traj)
+    cert = descent.descent_certificate(f_values, grad_norms, h, c)
+    # a gradient norm below tol stops a descent run as "converged", a Trajectory as "grad_norm"
+    return {"passed": cert.passed, "min_slack": cert.min_slack, "h_admissible": bool(h < 2.0 / c),
+            "converged": traj.stop_reason in ("converged", "grad_norm")}
+
+
+def _cert_gradient_square_sum(traj):
+    rep = descent.gradient_square_sum(traj, *descent.descent_series(traj)[2:])
+    return {"passed": rep.holds, "weighted_sum": rep.weighted_sum, "f_drop": rep.f_drop}
+
+
 # options read as integers; the rest are floats
 _INTEGER_OPTIONS = {"n0", "start", "stop", "max_steps"}
 
@@ -422,15 +439,18 @@ CERTIFIERS = {
     "uniform_bound": _cert_uniform_bound,
     "fit_decay": _cert_fit_decay,
     "error_bound": _cert_error_bound,
+    "descent": _cert_descent,
+    "gradient_square_sum": _cert_gradient_square_sum,
 }
 
 
-def _verdict(name: str, traj: Trajectory, options: dict) -> dict:
-    """Run one certifier.  A ValueError is a hypothesis the trajectory does
-    not meet: a failed verdict with its reason, not a failed run."""
+def _verdict(name: str, run, options: dict) -> dict:
+    """Run one certifier on a Trajectory or a generic_dgf DescentResult.  A ValueError or
+    an overflow is a hypothesis the run does not meet: a failed verdict, not a failed run."""
     try:
-        return {"name": name, **CERTIFIERS[name](traj, **options)}
-    except ValueError as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            return {"name": name, **CERTIFIERS[name](run, **options)}
+    except (ValueError, FloatingPointError) as exc:
         return {"name": name, "passed": False, "reason": str(exc)}
 
 
@@ -558,26 +578,23 @@ def execute_run(cfg: RunConfig, out_dir: Path, fmt: str = "csv",
     inputs = build_inputs(cfg)
     _make_out_dir(out_dir)
     if cfg.model == "generic_dgf":
-        report = _execute_descent(*inputs, cfg)
+        run, report = _execute_descent(*inputs, cfg)
     else:
-        report = _execute_oscillators(*inputs, cfg.certifiers, out_dir, fmt)
+        run, report = _execute_oscillators(*inputs, out_dir, fmt)
+    report["verdicts"] = [_verdict(n, run, opts) for n, opts in cfg.applied_certifiers.items()]
     report["config"] = dataclasses.asdict(cfg)
     report["timestamp"] = time.time()
     _atomic_write(out_dir / "report.json",
                   json.dumps(report, sort_keys=True, indent=2).encode())
     if not quiet:
-        for v in report.get("verdicts", []):
+        for v in report["verdicts"]:
             print(f"{v['name']}: {'pass' if v['passed'] else 'FAIL'}")
         print(f"report written to {out_dir / 'report.json'}")
     return report
 
 
-def _execute_oscillators(init, freqs, params, certifiers: dict, out_dir: Path,
-                         fmt: str) -> dict:
+def _execute_oscillators(init, freqs, params, out_dir: Path, fmt: str) -> tuple:
     traj = simulate(init, freqs, params)
-
-    verdicts = [_verdict(name, traj, options) for name, options in certifiers.items()]
-
     eq = None
     if traj.stop_reason == "grad_norm" and freqs.is_identical:
         eq = analysis.match_equilibrium(traj.final_config())
@@ -587,7 +604,7 @@ def _execute_oscillators(init, freqs, params, certifiers: dict, out_dir: Path,
     else:
         write_trajectory_csv(traj, out_dir / "trajectory.csv")
 
-    return {
+    return traj, {
         "trajectory": {
             "steps": traj.n_steps,
             "stop_reason": traj.stop_reason,
@@ -596,15 +613,13 @@ def _execute_oscillators(init, freqs, params, certifiers: dict, out_dir: Path,
             "final_phases": [float(v) for v in traj.phases[-1]],
         },
         "equilibrium": _equilibrium_dict(eq),
-        "verdicts": verdicts,
     }
 
 
-def _execute_descent(problem, x0, cfg: RunConfig) -> dict:
+def _execute_descent(problem, x0, cfg: RunConfig) -> tuple:
     result = descent.run_descent(problem, x0, cfg.step,
                                  max_steps=cfg.max_steps, tol=cfg.conv_tol)
-    cert = descent.certify_descent(problem, result, cfg.step)
-    return {
+    return result, {
         "trajectory": {
             "steps": int(result.f_values.size - 1),
             "stop_reason": result.stop_reason,
@@ -612,13 +627,6 @@ def _execute_descent(problem, x0, cfg: RunConfig) -> dict:
             "final_point": [float(v) for v in result.final_point],
         },
         "equilibrium": None,
-        "verdicts": [{
-            "name": "descent",
-            "passed": cert.passed,
-            "min_slack": cert.min_slack,
-            "h_admissible": result.h_admissible,
-            "converged": result.converged,
-        }],
     }
 
 
@@ -711,7 +719,7 @@ def execute_sweep(cfg: RunConfig, axis: str, values, out_dir: Path,
                                      "final_grad_norm": math.nan}, "verdicts": []}
         reports.append(result)
 
-    cert_names = ["descent"] if cfg.model == "generic_dgf" else list(cfg.certifiers)
+    cert_names = list(cfg.applied_certifiers)
     lines = [",".join(["index", axis, "steps", "stop_reason", "final_grad_norm"]
                       + [f"cert_{n}" for n in cert_names])]
     for i, v in enumerate(values):

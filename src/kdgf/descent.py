@@ -19,14 +19,8 @@ from .integrate import DivergenceError
 
 
 def _finite_difference_gradient(potential, x, eps=1e-6):
-    g = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += eps
-        xm[i] -= eps
-        g[i] = (potential(xp) - potential(xm)) / (2 * eps)
-    return g
+    return np.array([(potential(x + e) - potential(x - e)) / (2 * eps)
+                     for e in eps * np.eye(x.size)])
 
 
 @dataclass(frozen=True)
@@ -126,11 +120,9 @@ def run_descent(problem: DescentProblem, x0, h: float, max_steps: int = 1_000_00
     if not problem.in_domain(x):
         raise ValueError("x0 outside the working domain")
 
-    f_vals = []
-    g_norms = []
+    f_vals, g_norms = [], []
     path = [x.copy()] if store_path else None
     reason = "max_steps"
-    converged = False
     n = 0
     # an overflow shows as a non-finite potential or gradient, checked below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -144,16 +136,13 @@ def run_descent(problem: DescentProblem, x0, h: float, max_steps: int = 1_000_00
             g_norms.append(gn)
             if gn < tol:
                 reason = "converged"
-                converged = True
                 break
             if n >= max_steps:
                 break
-            x_next = x - h * g
-            if not problem.in_domain(x_next):
-                x = x_next
+            x = x - h * g
+            if not problem.in_domain(x):  # kept as final_point, not evaluated
                 reason = "domain_exit"
                 break
-            x = x_next
             if store_path:
                 path.append(x.copy())
             n += 1
@@ -162,7 +151,7 @@ def run_descent(problem: DescentProblem, x0, h: float, max_steps: int = 1_000_00
         f_values=np.asarray(f_vals),
         grad_norms=np.asarray(g_norms),
         final_point=x,
-        converged=converged,
+        converged=reason == "converged",
         h_admissible=bool(h < 2.0 / problem.hessian_bound),
         stop_reason=reason,
         problem=problem,
@@ -171,8 +160,23 @@ def run_descent(problem: DescentProblem, x0, h: float, max_steps: int = 1_000_00
     )
 
 
+def descent_series(run) -> tuple:
+    """``(f_values, grad_norms, h, C)``, the view both descent checks read: a
+    DescentResult's own, or a Trajectory's with C = K, kuramoto_problem's bound."""
+    if isinstance(run, DescentResult):
+        return run.f_values, run.grad_norms, run.h, run.problem.hessian_bound
+    return run.potentials, run.grad_norms, run.params.step_size, run.params.coupling
+
+
 def certify_descent(problem: DescentProblem, result: DescentResult,
                     h: float) -> DescentCertificate:
+    """:func:`descent_certificate` of ``result``, a run of ``problem`` at step ``h``."""
+    if result.problem is not problem or result.h != h:
+        raise ValueError("result was not produced by this problem and step size")
+    return descent_certificate(*descent_series(result))
+
+
+def descent_certificate(f_values, grad_norms, h: float, c: float) -> DescentCertificate:
     """Check f(x(n+1)) - f(x(n)) <= -h (1 - C h / 2) |grad f(x(n))|^2 at
     every recorded step, with tolerance 1e-10 * (1 + |f|).
 
@@ -180,11 +184,7 @@ def certify_descent(problem: DescentProblem, result: DescentResult,
     step guard the allowed term flips sign and would certify anything, so the
     cap at zero keeps the certificate an actual monotone-decrease statement.
     """
-    if result.problem is not problem or result.h != h:
-        raise ValueError("result was not produced by this problem and step size")
-    f_values, c = result.f_values, problem.hessian_bound
-    allowed = np.minimum(-h * (1.0 - c * h / 2.0) * result.grad_norms[:-1] ** 2,
-                         0.0)
+    allowed = np.minimum(-h * (1.0 - c * h / 2.0) * grad_norms[:-1] ** 2, 0.0)
     slacks = allowed - np.diff(f_values)
     if slacks.size == 0:
         return DescentCertificate(True, 0.0, None)
@@ -204,11 +204,12 @@ class SummabilityReport:
 
 
 def gradient_square_sum(result: DescentResult, h: float, c: float) -> SummabilityReport:
-    """Telescoped bound: sum_n |grad|^2 h (1 - C h / 2) <= f(x0) - f(final)."""
+    """Telescoped bound on the descent_series: sum_n |grad|^2 h (1 - C h / 2) <= f(0) - f(end)."""
+    f_values, grad_norms, _, _ = descent_series(result)
     weights = h * (1.0 - c * h / 2.0)
-    s = float((result.grad_norms[:-1] ** 2).sum() * weights)
-    drop = float(result.f_values[0] - result.f_values[-1])
-    tol = 1e-10 * (1.0 + abs(result.f_values[0]) + abs(result.f_values[-1]))
+    s = float((grad_norms[:-1] ** 2).sum() * weights)
+    drop = float(f_values[0] - f_values[-1])
+    tol = 1e-10 * (1.0 + abs(f_values[0]) + abs(f_values[-1]))
     return SummabilityReport(weighted_sum=s, f_drop=drop, holds=bool(s <= drop + tol))
 
 

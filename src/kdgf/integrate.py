@@ -270,11 +270,12 @@ def rk4_reference(init: PhaseConfig, freqs: NaturalFrequencies, coupling: float,
     s = rk4_substeps(h, coupling, freqs)
     knots = np.empty((n_steps + 1, init.n))
     flow = rk4_flow(init.phases, freqs.omega, coupling, h / s, s)
-    for i in range(n_steps + 1):
-        y, _ = next(flow)
-        if not np.all(np.isfinite(y)):
-            raise ValueError(f"non-finite reference state at step {i}")
-        knots[i] = y
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite knot is refused below
+        for i in range(n_steps + 1):
+            knots[i], _ = next(flow)
+    finite = np.isfinite(knots).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite reference state at step {finite.argmin()}")
     knots.setflags(write=False)
     return Rk4Path(knots=knots, step_size=h, substeps=s)
 

@@ -11,7 +11,6 @@ import pytest
 
 from kdgf import (
     DescentProblem,
-    DescentResult,
     NaturalFrequencies,
     PhaseConfig,
     SimParams,
@@ -37,7 +36,8 @@ from kdgf import (
     simulate_batch,
 )
 from kdgf.analysis import effective_series
-from kdgf.cli import main
+from kdgf.cli import CERTIFIERS, main
+from kdgf.descent import descent_series
 from kdgf.inits import near_bipolar, near_sync, random_arc
 
 
@@ -362,17 +362,6 @@ order_preservation =
 # A13: sync for generic data below the sharp step bound hK < 2
 # ---------------------------------------------------------------------------
 
-def _as_descent(traj, problem, h):
-    """The DescentResult run_descent gives on ``problem`` from the run's
-    start: run_descent on kuramoto_problem reproduces simulate bitwise, and
-    its f_values are the trajectory's potentials."""
-    return DescentResult(f_values=traj.potentials, grad_norms=traj.grad_norms,
-                         final_point=traj.phases[-1],
-                         converged=traj.stop_reason == "grad_norm",
-                         h_admissible=h < 2.0 / problem.hessian_bound,
-                         stop_reason=traj.stop_reason, problem=problem, h=h)
-
-
 def test_a13_sync_for_generic_data_below_the_sharp_step_bound():
     # identical oscillators from full-circle random starts: every run below
     # hK = 2 descends with C = K and synchronises; above it none converges
@@ -381,8 +370,7 @@ def test_a13_sync_for_generic_data_below_the_sharp_step_bound():
         rng = np.random.default_rng(1300 + n)
         inits = [random_arc(n, 2 * math.pi - 1e-9, rng) for _ in range(50)]
         freqs = NaturalFrequencies.zero(n)
-        problem = kuramoto_problem(freqs, k)
-        c = problem.hessian_bound
+        c = kuramoto_problem(freqs, k).hessian_bound
         for hk in (0.5, 1.0, 1.5, 1.9):
             h = hk / k
             trajs = simulate_batch(inits, freqs, SimParams(k, h, max_steps=10_000))
@@ -391,9 +379,10 @@ def test_a13_sync_for_generic_data_below_the_sharp_step_bound():
                 assert traj.stop_reason == "grad_norm", where
                 eq = match_equilibrium(traj.final_config())
                 assert eq is not None and eq.kind == "sync", where
-                res = _as_descent(traj, problem, h)
-                assert certify_descent(problem, res, h).passed, where
-                assert gradient_square_sum(res, h, c).holds, where
+                # the registry's descent checks read the run with C = K
+                assert descent_series(traj)[2:] == (h, c), where
+                for name in ("descent", "gradient_square_sum"):
+                    assert CERTIFIERS[name](traj)["passed"], where
         trajs = simulate_batch(inits, freqs, SimParams(k, 2.1 / k, max_steps=2_000))
         assert not any(traj.stop_reason == "grad_norm" for traj in trajs), f"N={n}"
     _report("A13", "50 full-circle starts at N=3, 8, 32 sync and pass descent with "

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kdgf import DivergenceError, NaturalFrequencies, SimParams, Trajectory, cli
+from kdgf import DivergenceError, NaturalFrequencies, SimParams, Trajectory, cli, inits, simulate
 from kdgf.cli import main, write_trajectory_csv, write_trajectory_json
 
 
@@ -588,6 +588,17 @@ def test_certifier_that_cannot_run_is_a_failed_verdict(tmp_path, init, certifier
     assert (out / "trajectory.csv").exists()
 
 
+def test_certifier_that_overflows_is_a_failed_verdict():
+    # at K = 1e308 the potentials lie near the float limit, and the
+    # tolerance 1 + |f(0)| + |f(end)| of gradient_square_sum overflows: a
+    # failed verdict with numpy's reason, not a RuntimeWarning
+    init = inits.random_arc(4, 6.0, np.random.default_rng(0))
+    traj = simulate(init, NaturalFrequencies.zero(4), SimParams(1e308, 1e-310, max_steps=50))
+    verdict = cli._verdict("gradient_square_sum", traj, {})
+    assert verdict == {"name": "gradient_square_sum", "passed": False,
+                       "reason": "overflow encountered in scalar add"}
+
+
 def test_error_bound_with_zero_lipschitz_builds_no_reference(tmp_path, monkeypatch):
     def no_reference(*args, **kwargs):
         raise AssertionError("the verdict is known before the reference")
@@ -803,6 +814,81 @@ def test_dgf_run_refuses_certifiers(tmp_path, capsys):
     assert main(["run", cfg, "--out", str(out), "--quiet"]) == 2
     assert not out.exists()
     assert "generic_dgf" in capsys.readouterr().err
+
+
+DESCENT_VERDICT_KEYS = {"name", "passed", "min_slack", "h_admissible", "converged"}
+SUM_VERDICT_KEYS = {"name", "passed", "weighted_sum", "f_drop"}
+
+
+@pytest.mark.parametrize("hk", [0.5, 1.9, 2.1])
+def test_run_descent_certifiers_on_an_oscillator_run(tmp_path, hk):
+    # A13's setup through kdgf run: the descent checks take C = K, so they
+    # pass below the step guard hK < 2; above it the run is not admissible
+    cfg = write_config(tmp_path / "run.ini", (
+        "[run]\nmodel = identical\nn = 8\ninit = random-arc(6.283185)\n"
+        f"coupling = 1.0\nstep = {hk}\nmax_steps = 10000\n"
+        "[certifiers]\ndescent =\ngradient_square_sum =\n"))
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
+    report = read_json(out / "report.json")
+    descent_v, sum_v = report["verdicts"]
+    assert set(descent_v) == DESCENT_VERDICT_KEYS and descent_v["name"] == "descent"
+    assert set(sum_v) == SUM_VERDICT_KEYS and sum_v["name"] == "gradient_square_sum"
+    converged = report["trajectory"]["stop_reason"] == "grad_norm"
+    assert descent_v["converged"] is converged
+    if hk < 2:
+        assert converged and descent_v["h_admissible"] is True
+        assert descent_v["passed"] and sum_v["passed"]
+    else:
+        assert not converged and descent_v["h_admissible"] is False
+
+
+def test_dgf_run_takes_the_descent_certifiers(tmp_path):
+    # a [certifiers] list replaces the default descent verdict
+    cfg = write_config(tmp_path / "dgf.ini",
+                       DGF_CFG + "\n[certifiers]\ngradient_square_sum =\n")
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
+    report = read_json(out / "report.json")
+    [verdict] = report["verdicts"]
+    assert set(verdict) == SUM_VERDICT_KEYS and verdict["passed"]
+    assert report["config"]["certifiers"] == {"gradient_square_sum": {}}
+
+
+def test_dgf_run_without_certifiers_writes_descent_alone(tmp_path):
+    # the default list is applied when the verdicts run, not written into
+    # the config echo
+    cfg = write_config(tmp_path / "dgf.ini", DGF_CFG)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
+    report = read_json(out / "report.json")
+    [verdict] = report["verdicts"]
+    assert set(verdict) == DESCENT_VERDICT_KEYS and verdict["name"] == "descent"
+    assert verdict["h_admissible"] is True
+    assert report["config"]["certifiers"] == {}
+
+
+def test_dgf_run_refuses_a_phase_scan_beside_descent(tmp_path, capsys):
+    cfg = write_config(tmp_path / "dgf.ini",
+                       DGF_CFG + "\n[certifiers]\ndescent =\nerror_bound =\n")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert "generic_dgf has no phases for certifier 'error_bound'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("certifiers,column", [
+    ("", "cert_descent"),
+    ("\n[certifiers]\ngradient_square_sum =\n", "cert_gradient_square_sum"),
+])
+def test_dgf_sweep_columns_follow_the_applied_certifiers(tmp_path, certifiers, column):
+    cfg = write_config(tmp_path / "dgf.ini", DGF_CFG + certifiers)
+    out = tmp_path / "sweep"
+    assert main(["sweep", cfg, "--axis", "h", "--values", "0.05,0.02",
+                 "--out", str(out), "--quiet"]) == 0
+    lines = (out / "summary.csv").read_text().splitlines()
+    assert lines[0] == f"index,h,steps,stop_reason,final_grad_norm,{column}"
+    assert [line.split(",")[-1] for line in lines[1:]] == ["pass", "pass"]
 
 
 @pytest.mark.parametrize("axis,values", [

@@ -455,6 +455,17 @@ def test_rk4_reference_rejects_a_non_finite_substep_count(h, k):
         rk4_reference(PhaseConfig([-0.5, 0.5]), NaturalFrequencies.zero(2), k, h=h, n_steps=1)
 
 
+def test_rk4_reference_refuses_a_non_finite_state_without_a_warning():
+    # K = 1e308 at h = 5e-310 is one substep per step, and the RK4 stage sum
+    # overflows in the first step: refused with that step, and the overflow
+    # (a RuntimeWarning, an error under the test settings) stays silent
+    freqs = NaturalFrequencies.zero(4)
+    assert integrate.rk4_substeps(5e-310, 1e308, freqs) == 1
+    with pytest.raises(ValueError, match=r"non-finite reference state at step 1$"):
+        rk4_reference(PhaseConfig([-1.0, -0.2, 0.3, 0.9]), freqs, 1e308, h=5e-310,
+                      n_steps=5)
+
+
 # ---------------------------------------------------------------------------
 # global error bound
 # ---------------------------------------------------------------------------
