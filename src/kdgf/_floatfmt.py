@@ -158,8 +158,7 @@ def numbered_rows(block, first: int) -> bytes:
 
 def _join(slot_bytes) -> bytes:
     """The texts of a block of slots, in order."""
-    flat = slot_bytes.reshape(-1)
-    return flat[flat != 0].tobytes()
+    return slot_bytes.tobytes().translate(None, b"\0")
 
 
 def _slots(values, seps, fallback=repr) -> np.ndarray:

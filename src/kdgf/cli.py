@@ -473,7 +473,9 @@ def _trajectory_table(traj: Trajectory) -> dict:
 # Values per chunk a trajectory writer renders and writes.  The bulk
 # formatter's numpy temporaries take about 200 bytes per value, so a chunk
 # adds about 1.6 MB to a run's peak memory; larger chunks were no faster
-# (its fixed cost per call is about 0.3 ms, its arrays then leave the cache).
+# (their arrays leave the cache).  A call costs about 0.14 ms whatever its
+# size (a 6-value render), paid once per CSV chunk and once per chunk of
+# each JSON column.
 CHUNK_VALUES = 2**13
 
 
@@ -501,41 +503,21 @@ _JSON_ROW_END = _floatfmt.sep_word(b"], [")
 def write_trajectory_json(traj: Trajectory, path: Path):
     """The trajectory as ``json.dumps(table, sort_keys=True)`` of its
     columns as lists, each value exactly as ``json.dumps`` renders it;
-    rendered in bulk (``_floatfmt``) and written a chunk of values at a
-    time, a chunk running on across short columns.
-
-    Each column's last value is followed by ``]}`` (``]]}`` in a 2-d
-    column); the ``}`` is then replaced by the next column's key, or left
-    as the table's closing brace."""
-    columns = sorted(_trajectory_table(traj).items())
-    heads = iter([f'{", " if i else "{"}{json.dumps(name)}: {"[" * col.ndim}'.encode()
-                  for i, (name, col) in enumerate(columns)] + [b"}"])
-
-    def chunks():
-        values, seps = [], []
-        for _, col in columns:
+    written a column at a time, one bulk ``_floatfmt.render`` call per
+    chunk of the column's rows."""
+    def text():
+        for i, (name, col) in enumerate(sorted(_trajectory_table(traj).items())):
+            yield f'{", " if i else "{"}{json.dumps(name)}: {"[" * col.ndim}'.encode()
             width = col.shape[1] if col.ndim == 2 else 1
             for rows in row_chunks(len(col), width, CHUNK_VALUES):
                 block = col[rows].reshape(-1, width)
-                if values and sum(map(len, values)) + block.size > CHUNK_VALUES:
-                    yield np.concatenate(values), np.concatenate(seps)
-                    values, seps = [], []
-                sep = np.full(block.shape, _JSON_SEP, dtype=np.uint64)
+                seps = np.full(block.shape, _JSON_SEP, dtype=np.uint64)
                 if col.ndim == 2:
-                    sep[:, -1] = _JSON_ROW_END
+                    seps[:, -1] = _JSON_ROW_END
                 if rows.stop >= len(col):
-                    sep[-1, -1] = _floatfmt.sep_word(b"]" * col.ndim + b"}")
-                values.append(block.reshape(-1))
-                seps.append(sep.reshape(-1))
-        yield np.concatenate(values), np.concatenate(seps)
-
-    def text():
-        yield next(heads)
-        for values, seps in chunks():
-            first, *rest = _floatfmt.render(values, seps, json.dumps).split(b"}")
-            yield first
-            for piece in rest:
-                yield next(heads) + piece
+                    seps[-1, -1] = _floatfmt.sep_word(b"]" * col.ndim)
+                yield _floatfmt.render(block, seps, json.dumps)
+        yield b"}"
     _atomic_write(path, text())
 
 

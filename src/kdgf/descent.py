@@ -204,13 +204,19 @@ class SummabilityReport:
 
 
 def gradient_square_sum(result: DescentResult, h: float, c: float) -> SummabilityReport:
-    """Telescoped bound on the descent_series: sum_n |grad|^2 h (1 - C h / 2) <= f(0) - f(end)."""
+    """Telescoped bound on the descent_series: sum_n |grad|^2 h (1 - C h / 2) <= f(0) - f(end).
+
+    Above the step guard the weight h (1 - C h / 2) is not positive and the
+    bound would hold for any run, so it does not hold there, as
+    :func:`descent_certificate` caps its allowed drop at zero.
+    """
     f_values, grad_norms, _, _ = descent_series(result)
     weights = h * (1.0 - c * h / 2.0)
     s = float((grad_norms[:-1] ** 2).sum() * weights)
     drop = float(f_values[0] - f_values[-1])
     tol = 1e-10 * (1.0 + abs(f_values[0]) + abs(f_values[-1]))
-    return SummabilityReport(weighted_sum=s, f_drop=drop, holds=bool(s <= drop + tol))
+    return SummabilityReport(weighted_sum=s, f_drop=drop,
+                             holds=bool(weights > 0 and s <= drop + tol))
 
 
 # ---------------------------------------------------------------------------

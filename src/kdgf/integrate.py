@@ -25,8 +25,9 @@ DIVERGENCE_LIMIT = 1.0e6
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a phase magnitude exceeds the divergence guard, or a
-    descent iterate's potential or gradient is not finite.
+    """Raised when a phase magnitude exceeds the divergence guard, or the
+    potential or gradient (norm) of an oscillator step or descent iterate is
+    not finite.
 
     Out-of-theory behaviour (step size too large); carries the step index.
     """
@@ -97,7 +98,8 @@ def simulate(init: PhaseConfig, freqs: NaturalFrequencies,
     """Iterate the Euler scheme until the gradient norm drops below
     ``params.conv_tol`` ("grad_norm") or the step cap is reached
     ("max_steps"); conv_tol = 0 runs to the cap.  Raises DivergenceError if
-    any phase magnitude passes the 1e6 guard.
+    any phase magnitude passes the 1e6 guard, or a step's gradient norm or
+    potential is not finite.
     """
     [result] = simulate_batch([init], freqs, params)
     if isinstance(result, DivergenceError):
@@ -112,16 +114,19 @@ def simulate_batch(inits, freqs: NaturalFrequencies, params: SimParams) -> list:
     """:func:`simulate` of many starts of one system, stepped together: row b
     runs from ``inits[b]`` with ``freqs`` and ``params``.  Returns one result
     per row: its Trajectory, bitwise the one simulate gives, or the
-    DivergenceError simulate would raise.
+    DivergenceError simulate would raise: at the first step past the guard,
+    or whose gradient norm or potential is not finite.
 
     Rows step together in blocks of BLOCK_STEPS.  Each block is a
     C-contiguous (steps + 1, rows, N) array, so each row's reductions are
     those of the row alone.  Each step keeps the sums S and C that its kernel
     call reduces, the mean field Z = C + iS of its state, for the row's
     potential and order parameter series.  The guard and the stop rule are
-    applied at block ends, in the per-step order guard, gradient norm, step
-    cap, so a row's result is exactly that of a step-by-step check; a row past
-    the guard steps on to the end of its block, and those steps are discarded.
+    applied at block ends, in the per-step order guard, gradient norm (not
+    finite, then below ``conv_tol``), step cap, so a row's result is exactly
+    that of a step-by-step check; a row past the guard or with a non-finite
+    gradient norm steps on to the end of its block, and those steps are
+    discarded.
     Live rows always share one step index; a row that stops leaves the live
     arrays.  Each row keeps its own copy of its stored steps; every row's
     steps are held until the call returns.
@@ -155,8 +160,9 @@ def simulate_batch(inits, freqs: NaturalFrequencies, params: SimParams) -> list:
             m = m0 + np.arange(steps)[:, None]
             diverged = (((blk[:steps].max(axis=2) > DIVERGENCE_LIMIT)
                          | (blk[:steps].min(axis=2) < -DIVERGENCE_LIMIT)) & (m > 0))
+            blown = ~np.isfinite(gnorm)
             converged = gnorm < tol
-        stop = diverged | converged | (m == max_steps)
+        stop = diverged | blown | converged | (m == max_steps)
         keep = ~stop.any(axis=0)
 
         for slot, row in enumerate(live.tolist()):
@@ -166,8 +172,9 @@ def simulate_batch(inits, freqs: NaturalFrequencies, params: SimParams) -> list:
                                     *np.ascontiguousarray(sums[:, :, slot, 0])))
                 continue
             j = int(stop[:, slot].argmax())  # the row's stop step is m0 + j
-            if diverged[j, slot]:
-                results[row] = DivergenceError(m0 + j)
+            if diverged[j, slot] or blown[j, slot]:
+                results[row] = (DivergenceError(m0 + j) if diverged[j, slot] else
+                                DivergenceError(m0 + j, "gradient norm is not finite"))
                 pieces[row] = None
                 continue
             reason = "grad_norm" if converged[j, slot] else "max_steps"
@@ -180,10 +187,15 @@ def simulate_batch(inits, freqs: NaturalFrequencies, params: SimParams) -> list:
     return results
 
 
-def _trajectory(phases, gnorm, z, reason, freqs, params) -> Trajectory:
-    """The run's Trajectory, its series read from ``z``, each stored step's mean field."""
+def _trajectory(phases, gnorm, z, reason, freqs, params) -> Trajectory | DivergenceError:
+    """The run's Trajectory, its series read from ``z``, each stored step's mean
+    field; or the DivergenceError of its first step whose potential is not finite."""
     phases.setflags(write=False)
-    potentials = potential_from_mean_field(z, phases, freqs.omega, params.coupling)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite potential is refused below
+        potentials = potential_from_mean_field(z, phases, freqs.omega, params.coupling)
+    bad = np.flatnonzero(~np.isfinite(potentials))
+    if bad.size:
+        return DivergenceError(int(bad[0]), "potential is not finite")
     order_r, order_phi = order_from_mean_field(z, phases.shape[1])
     return Trajectory(phases=phases, params=params, freqs=freqs, diameters=span(phases),
                       potentials=potentials, grad_norms=gnorm, order_r=order_r,

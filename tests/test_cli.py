@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kdgf import DivergenceError, NaturalFrequencies, SimParams, Trajectory, cli, inits, simulate
+from kdgf import DivergenceError, NaturalFrequencies, SimParams, Trajectory, cli
 from kdgf.cli import main, write_trajectory_csv, write_trajectory_json
 
 
@@ -275,6 +275,20 @@ conv_tol = 1e-300
 def test_divergence_exit_code(tmp_path):
     cfg = write_config(tmp_path / "div.ini", DIVERGENT_CFG)
     assert main(["run", cfg, "--out", str(tmp_path / "d"), "--quiet"]) == 3
+
+
+@pytest.mark.parametrize("coupling, step", [("1e308", "1e-310"), ("1.7e308", "1e-320")])
+def test_run_whose_gradient_norm_overflows_exits_3(tmp_path, capsys, coupling, step):
+    # |v|^2 overflows from step 0: a divergence, not a report.json holding
+    # "Infinity" (not JSON) or a RuntimeWarning from the potential series
+    cfg = write_config(tmp_path / "run.ini", (
+        "[run]\nmodel = identical\nn = 4\ninit = random-arc(6.0)\nseed = 0\n"
+        f"coupling = {coupling}\nstep = {step}\nmax_steps = 50\n"))
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 3
+    assert list(out.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err == "error: divergence: gradient norm is not finite at step 0\n"
 
 
 def test_diverging_descent_exits_3(tmp_path, capsys):
@@ -589,11 +603,14 @@ def test_certifier_that_cannot_run_is_a_failed_verdict(tmp_path, init, certifier
 
 
 def test_certifier_that_overflows_is_a_failed_verdict():
-    # at K = 1e308 the potentials lie near the float limit, and the
-    # tolerance 1 + |f(0)| + |f(end)| of gradient_square_sum overflows: a
-    # failed verdict with numpy's reason, not a RuntimeWarning
-    init = inits.random_arc(4, 6.0, np.random.default_rng(0))
-    traj = simulate(init, NaturalFrequencies.zero(4), SimParams(1e308, 1e-310, max_steps=50))
+    # finite potentials near the float limit: the tolerance
+    # 1 + |f(0)| + |f(end)| of gradient_square_sum overflows, a failed
+    # verdict with numpy's reason, not a RuntimeWarning
+    traj = Trajectory(phases=np.zeros((3, 4)), params=SimParams(1.0, 0.1, max_steps=2),
+                      freqs=NaturalFrequencies.zero(4), diameters=np.zeros(3),
+                      potentials=np.array([1e308, 9.9e307, 9.8e307]),
+                      grad_norms=np.array([1.0, 0.5, 0.25]), order_r=np.ones(3),
+                      order_phi=np.zeros(3))
     verdict = cli._verdict("gradient_square_sum", traj, {})
     assert verdict == {"name": "gradient_square_sum", "passed": False,
                        "reason": "overflow encountered in scalar add"}
@@ -841,6 +858,8 @@ def test_run_descent_certifiers_on_an_oscillator_run(tmp_path, hk):
         assert descent_v["passed"] and sum_v["passed"]
     else:
         assert not converged and descent_v["h_admissible"] is False
+        # the weight h (1 - C h / 2) is negative: the sum bound fails too
+        assert sum_v["passed"] is False and sum_v["weighted_sum"] < 0
 
 
 def test_dgf_run_takes_the_descent_certifiers(tmp_path):

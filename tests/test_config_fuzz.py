@@ -1,6 +1,6 @@
 """Config fuzz: whatever an INI or JSON config holds, ``kdgf run`` exits
-0 (ran), 2 (bad input, with nothing written) or 3 (divergence) and never
-raises."""
+0 (ran, with a report.json that is strict JSON), 2 (bad input, with nothing
+written) or 3 (divergence) and never raises."""
 import inspect
 import json
 import math
@@ -41,6 +41,11 @@ def corrupted(valid, keys):
     return st.tuples(valid, st.integers(0, 11), st.sampled_from(keys), JUNK).map(corrupt)
 
 
+# Extreme couplings and steps reach the overflow of the gradient norm (K |v|
+# past about 1e154) and of the potential (K near the float limit).
+COUPLINGS = [0.02, 0.5, 0.0, 1.0, 4.0, 1e-320, 1e154, 1.7e308]
+STEPS = [0.001, 0.01, -0.01, 0.1, 1.0, 1e-310]
+
 # n and max_steps stay small so that no draw allocates much memory.
 RUN_KEYS = ["model", "n", "init", "coupling", "step", "max_steps", "seed", "omega",
             "conv_tol", "problem", "x0"]
@@ -50,8 +55,8 @@ RUN = corrupted(st.fixed_dictionaries(
         "n": st.sampled_from([2, 3, 4, 8, -3, 0, 1, 5, 16]),
         "init": spec(["near-sync", "near-bipolar", "random-arc", "explicit"],
                      st.one_of(st.floats(-0.5, 7.0), NUMBER)),
-        "coupling": st.sampled_from([0.02, 0.5, 0.0, 1.0, 4.0]),
-        "step": st.sampled_from([0.001, 0.01, -0.01, 0.1, 1.0]),
+        "coupling": st.sampled_from(COUPLINGS),
+        "step": st.sampled_from(STEPS),
         "max_steps": st.integers(-2, 300),
     },
     optional={
@@ -63,11 +68,16 @@ RUN = corrupted(st.fixed_dictionaries(
     }), RUN_KEYS)
 
 
+def parameters(name):
+    """A certifier's options: the parameters of its signature after the run."""
+    return list(inspect.signature(CERTIFIERS[name]).parameters.values())[1:]
+
+
 def options(name):
     """Draws of one certifier's options, taken from its signature: every
     required option and some optional ones, about one in four with one of
     them, or a misspelt one, set to junk."""
-    params = list(inspect.signature(CERTIFIERS[name]).parameters.values())[1:]
+    params = parameters(name)
 
     def value(p):
         return st.integers(-3, 400) if p.name in _INTEGER_OPTIONS else NUMBER
@@ -91,13 +101,20 @@ def _ini_value(v) -> str:
     return "" if v is None else str(v)
 
 
+def refuse(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def run_config(name: str, text: str) -> int:
-    """Exit code of ``kdgf run`` on ``text``; bad input leaves no --out."""
+    """Exit code of ``kdgf run`` on ``text``; bad input leaves no --out, and
+    a run writes a report.json that parses without NaN or Infinity."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / name, Path(tmp) / "out"
         path.write_text(text, encoding="utf-8")
         code = main(["run", str(path), "--out", str(out), "--quiet"])
         assert code != 2 or not out.exists()
+        if code == 0:
+            json.loads((out / "report.json").read_text(), parse_constant=refuse)
         return code
 
 
@@ -116,6 +133,32 @@ def test_ini_config_never_raises(run, certs):
 def test_json_config_never_raises(top_junk, junk, data):
     text = json.dumps(junk if top_junk == 5 else data)
     assert run_config("run.json", text) in (0, 2, 3)
+
+
+# Most draws above are bad input, so few reach the extreme scales with a
+# config that runs: these draws are valid oscillator runs at every scale.
+SCALED = st.fixed_dictionaries({
+    "model": st.just("nonidentical"),
+    "n": st.sampled_from([2, 4, 8]),
+    "init": st.floats(0.01, 6.28).map(lambda w: f"random-arc({w!r})"),
+    "omega": st.sampled_from(["zero", "uniform(0.5)"]),
+    "coupling": st.sampled_from([c for c in COUPLINGS if c > 0]),
+    "step": st.sampled_from([h for h in STEPS if h > 0]),
+    "max_steps": st.integers(0, 100),
+    "seed": st.integers(0, 3),
+})
+# the certifiers that take no required option
+SCALED_CERTS = st.lists(st.sampled_from(sorted(
+    name for name in CERTIFIERS if all(p.default is not p.empty for p in parameters(name)))),
+    unique=True, max_size=3)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(run=SCALED, certs=SCALED_CERTS)
+def test_runs_at_extreme_scales_write_strict_json_or_diverge(run, certs):
+    lines = ["[run]"] + [f"{k} = {v}" for k, v in run.items()]
+    lines += ["[certifiers]"] + [f"{name} =" for name in certs]
+    assert run_config("run.ini", "\n".join(lines) + "\n") in (0, 3)
 
 
 @pytest.mark.parametrize("name", ["run.json", "run.ini"])

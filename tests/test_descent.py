@@ -182,6 +182,18 @@ def test_gradient_square_sum_zero_step_run():
     assert rep.holds
 
 
+@pytest.mark.parametrize("hc", [2.0, 2.1, 4.0])
+def test_gradient_square_sum_fails_above_the_step_guard(hc):
+    # at hC >= 2 the weight h (1 - C h / 2) is not positive, so the sum
+    # bound would hold for any run: it fails, as descent_certificate does
+    prob = quadratic()
+    res = run_descent(prob, [1.0, -1.0], h=0.5, tol=1e-12)
+    assert gradient_square_sum(res, 0.5, prob.hessian_bound).holds
+    rep = gradient_square_sum(res, 0.5, hc / 0.5)
+    assert rep.weighted_sum <= 0 < rep.f_drop
+    assert not rep.holds
+
+
 def test_gradient_square_sum_double_well_slack():
     prob = double_well()
     res = run_descent(prob, [0.1], h=0.01)

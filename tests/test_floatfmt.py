@@ -117,6 +117,15 @@ def test_writers_render_boundary_values_as_their_oracles(tmp_path):
     _check_writers(tmp_path, _trajectory(phases, [np.resize(values[k:], rows) for k in range(5)]))
 
 
+@pytest.mark.parametrize("rows", [1, cli.CHUNK_VALUES])
+def test_writers_render_chunk_edges_as_their_oracles(tmp_path, rows):
+    # one row (a zero-step run), and CHUNK_VALUES rows at N = 8: then every
+    # column, 1-d or theta, ends exactly on a chunk end
+    bits = np.random.default_rng(rows).integers(0, 2**64, (rows, 13), dtype=np.uint64)
+    values = bits.view(np.float64)
+    _check_writers(tmp_path, _trajectory(values[:, :8], values[:, 8:].T))
+
+
 @pytest.mark.parametrize("layout", ["fortran", "strided", "read-only", "big-endian"])
 def test_writers_take_any_float64_array(tmp_path, layout):
     # inputs the engine never produces: the formatter reads bits only from a

@@ -237,8 +237,9 @@ def test_simulate_large_n_near_sync_reaches_grad_tol():
 # ---------------------------------------------------------------------------
 
 def step_by_step(init, freqs, params):
-    """The Euler loop checked one step at a time: guard, then gradient norm,
-    then step cap.  Returns (phases, grad norms, stop reason) or raises."""
+    """The Euler loop checked one step at a time: guard, then gradient norm
+    (not finite, then below conv_tol), then step cap.  Returns (phases, grad
+    norms, stop reason) or raises."""
     theta, rows, norms = init.phases, [], []
     while True:
         m = len(rows)
@@ -246,7 +247,10 @@ def step_by_step(init, freqs, params):
             raise DivergenceError(m)
         v = velocity_arrays(theta, freqs.omega, params.coupling)
         rows.append(theta)
-        norms.append(math.sqrt(float(v @ v)))
+        with np.errstate(over="ignore"):
+            norms.append(math.sqrt(float(v @ v)))
+        if not math.isfinite(norms[-1]):
+            raise DivergenceError(m, "gradient norm is not finite")
         if norms[-1] < params.conv_tol:
             return np.array(rows), np.array(norms), "grad_norm"
         if m >= params.max_steps:
@@ -329,6 +333,42 @@ def test_simulate_batch_divergent_row_among_converging_rows():
     for traj, init in zip(run_on, starts):
         assert traj.stop_reason == "max_steps"
         assert_same_run(traj, init, freqs, capped)
+
+
+def test_simulate_batch_rows_with_a_non_finite_gradient_norm_among_finite_rows():
+    # at K = 1e160 the gradient norm overflows once K * spread passes about
+    # 1e154; at hK = 3 the spread doubles each step.  A 3 rad arc overflows at
+    # step 0, a 3e-150 rad spread at step 478, inside a block; the synced row
+    # and a 3e-250 rad spread stay finite to the cap, as they run alone
+    freqs = NaturalFrequencies.zero(4)
+    params = SimParams(1e160, 3e-160, max_steps=600, conv_tol=0.0)
+    finite = [PhaseConfig(np.zeros(4)), PhaseConfig([0.0, 1e-250, 2e-250, 3e-250])]
+    blown = [inits.random_arc(4, 3.0, np.random.default_rng(0)),
+             PhaseConfig([0.0, 1e-150, 2e-150, 3e-150])]
+    results = simulate_batch([finite[0], blown[0], blown[1], finite[1]], freqs, params)
+    for result, init, step in zip(results[1:3], blown, (0, 478)):
+        assert isinstance(result, DivergenceError)
+        assert (result.step, result.what) == (step, "gradient norm is not finite")
+        with pytest.raises(DivergenceError, match=f"not finite at step {step}$"):
+            simulate(init, freqs, params)
+        with pytest.raises(DivergenceError) as exc:
+            step_by_step(init, freqs, params)
+        assert exc.value.step == step
+    for traj, init in zip(results[::3], finite):
+        assert traj.stop_reason == "max_steps"
+        assert np.isfinite(traj.grad_norms).all() and np.isfinite(traj.potentials).all()
+        assert_same_run(traj, init, freqs, params)
+
+
+def test_a_non_finite_potential_is_a_divergence_without_a_warning():
+    # (K/2N)(N^2 - |Z|^2) overflows at K = 1e308 once |Z| < N: _trajectory
+    # returns the first such step as a DivergenceError, and pyproject.toml's
+    # RuntimeWarning-as-error setting would fail this test on a warning
+    z = np.array([4.0, 4.0, 0.0, 0.0], dtype=complex)
+    result = integrate._trajectory(np.zeros((4, 4)), np.zeros(4), z, "max_steps",
+                                   NaturalFrequencies.zero(4), SimParams(1e308, 1e-310))
+    assert isinstance(result, DivergenceError)
+    assert (result.step, result.what) == (2, "potential is not finite")
 
 
 def test_guard_skips_the_initial_state():
