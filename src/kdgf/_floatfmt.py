@@ -152,8 +152,11 @@ def numbered_rows(block, first: int) -> bytes:
     rows, cols = block.shape
     seps = np.full(cols, _COMMA, dtype=_U)
     seps[-1] = _NEWLINE
-    numbers = _int_slots(np.arange(first, first + rows), _COMMA)
-    return _join(np.concatenate([numbers[:, None], _slots(block, seps)], axis=1))
+    # numpy's int-to-bytes cast writes each number's decimal text, NUL-padded
+    numbers = np.arange(first, first + rows).astype("S28")[:, None].view(np.uint8)
+    comma = np.full((rows, 1), ord(","), dtype=np.uint8)
+    values = _slots(block, seps).reshape(rows, cols * _SLOT)
+    return _join(np.concatenate([numbers, comma, values], axis=1))
 
 
 def _join(slot_bytes) -> bytes:
@@ -188,18 +191,6 @@ def _slots(values, seps, fallback=repr) -> np.ndarray:
         slot_bytes.reshape(-1, _SLOT)[where, :_SLOT - _SEP] = np.frombuffer(
             b"".join(texts), dtype=np.uint8).reshape(-1, _SLOT - _SEP)
     return slot_bytes
-
-
-def _int_slots(ints, sep: int) -> np.ndarray:
-    """(n, 32) uint8 slots of nonnegative integers below 10**17, each
-    followed by the separator ``sep`` (a ``sep_word``)."""
-    d = np.asarray(ints, dtype=_U)
-    n_digits = np.maximum(np.searchsorted(_POW10, d, side="right"), 1)
-    out = np.empty((d.size, 4), dtype=">u8")
-    out[:, :3] = _place(_digit_chars(d), np.full(d.size, _NO_DOT), n_digits,
-                        np.zeros(d.size, dtype=_U)).T
-    out[:, 3] = sep
-    return out.view(np.uint8)
 
 
 def _shortest(bits):

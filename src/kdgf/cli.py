@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import copy
 import dataclasses
 import gc
 import inspect
@@ -78,8 +77,8 @@ def _spec_arg(text: str, pos, kw, key: str, default: float) -> float:
 
 @dataclasses.dataclass
 class RunConfig:
-    model: str
-    n: int
+    model: str = "identical"
+    n: int = 0
     seed: int = 0
     init: str = "near-sync(0.1)"
     omega: str = "zero"
@@ -175,7 +174,11 @@ def _declared(what: str, keys, allowed):
 
 
 _SECTIONS = ("run", "certifiers")
-_RUN_KEYS = {f.name for f in dataclasses.fields(RunConfig)} - {"certifiers"}
+# RunConfig declares the [run] table: each key's conversion, by its field's type
+_CONVERTERS = {"int": _integer, "float": _number, "float | None": _number,
+               "str": lambda key, value: str(value)}
+_RUN_KEYS = {f.name: _CONVERTERS[f.type] for f in dataclasses.fields(RunConfig)
+             if f.name != "certifiers"}
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -206,18 +209,8 @@ def load_config(path: str | Path) -> RunConfig:
         certs = {name: _ini_options(val) for name, val in certs.items()}
 
     _declared("[run] key", run, _RUN_KEYS)
-    run = {k: v for k, v in run.items() if v is not None}
-    cfg = RunConfig(model=str(run.get("model", "identical")).lower(),
-                    n=_integer("n", run.get("n", 0)))
-    for key in ("seed", "max_steps"):
-        if key in run:
-            setattr(cfg, key, _integer(key, run[key]))
-    for key in ("coupling", "step", "conv_tol"):
-        if key in run:
-            setattr(cfg, key, _number(key, run[key]))
-    for key in ("init", "omega", "problem", "x0"):
-        if key in run:
-            setattr(cfg, key, str(run[key]))
+    cfg = RunConfig(**{k: _RUN_KEYS[k](k, v) for k, v in run.items() if v is not None})
+    cfg.model = cfg.model.lower()
     cfg.certifiers = {
         str(name).lower(): {k: (_integer if k in _INTEGER_OPTIONS else _number)(
             f"{name} option {k}", v) for k, v in kw.items()}
@@ -300,8 +293,6 @@ def build_inputs(cfg: RunConfig) -> tuple:
         return problem, x0
     try:
         init, freqs = build_initial(cfg), build_frequencies(cfg)
-    except ValueError as exc:  # an inits builder or a value record refused it
-        raise ConfigError(str(exc)) from None
     except MemoryError as exc:  # n too large to allocate
         raise ConfigError(f"n = {cfg.n} is too large: {exc}") from None
     if cfg.model == "identical" and not freqs.is_identical:
@@ -616,32 +607,26 @@ def _execute_descent(problem, x0, cfg: RunConfig) -> tuple:
 # sweeps
 # ---------------------------------------------------------------------------
 
-_AXES = ("K", "h", "delta", "domega", "N")
+_AXES = {"K": "coupling", "h": "step", "delta": "init", "domega": "omega", "N": "n"}
 
 
 def _apply_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
-    """``cfg`` with one axis value applied, checked as a loaded config is."""
+    """``cfg`` with one axis value applied, read and checked as a loaded config is."""
     if cfg.model == "generic_dgf" and axis != "h":
         raise ConfigError(f"model generic_dgf sweeps only over axis h, not {axis!r}")
-    c = copy.deepcopy(cfg)
-    if axis == "K":
-        c.coupling = float(value)
-    elif axis == "h":
-        c.step = float(value)
-    elif axis == "N":
-        c.n = _integer("N", value)
-    elif axis == "delta":
-        name, _, _ = _parse_spec(c.init)
+    if axis not in _AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r} (choose from {tuple(_AXES)})")
+    if axis == "delta":
+        name = _parse_spec(cfg.init)[0]
         if name not in ("near-sync", "near-bipolar"):
             raise ConfigError("axis delta needs a near-sync or near-bipolar init")
-        c.init = f"{name}(delta={float(value)})"
+        value = f"{name}(delta={float(value)})"
     elif axis == "domega":
-        name, _, _ = _parse_spec(c.omega)
-        if name != "uniform":
+        if _parse_spec(cfg.omega)[0] != "uniform":
             raise ConfigError("axis domega needs omega = uniform(...)")
-        c.omega = f"uniform(spread={float(value)})"
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r} (choose from {_AXES})")
+        value = f"uniform(spread={float(value)})"
+    key = _AXES[axis]
+    c = dataclasses.replace(cfg, **{key: _RUN_KEYS[key](axis, value)})
     c.validate()
     return c
 

@@ -1,4 +1,5 @@
 """End-to-end tests of the command-line harness."""
+import dataclasses
 import inspect
 import json
 import math
@@ -1239,3 +1240,94 @@ def test_readme_lists_the_certifier_registry():
     assert documented == registry
     whole = re.search(r"the certifier options (.*?) must be whole numbers", text).group(1)
     assert set(re.findall(r"`(\w+)`", whole)) == cli._INTEGER_OPTIONS
+
+
+def test_readme_lists_the_sweep_axes():
+    # each axis with the [run] key it sets
+    text = " ".join(README.read_text().split())
+    listed = re.search(r"Sweep axes and the `\[run\]` key each sets: (.*?)\.\s", text).group(1)
+    assert dict(re.findall(r"`(\w+)` → `(\w+)`", listed)) == cli._AXES
+
+
+@pytest.mark.parametrize("args,text,fault", [
+    (["run"], IDENTICAL_CFG.replace("near-sync(0.1)", "near sync"), "cannot parse spec"),
+    (["run"], IDENTICAL_CFG[IDENTICAL_CFG.index("[certifiers]"):],
+     "config needs a [run] section"),
+    (["run"], IDENTICAL_CFG.replace("near-sync(0.1)", "far-sync(0.1)"), "unknown init spec"),
+    (["run"], NONIDENTICAL_CFG.replace("omega = zero", "omega = gauss(0.1)"),
+     "unknown omega spec"),
+    (["sweep", "--axis", "delta", "--values", "0.1"],
+     IDENTICAL_CFG.replace("near-sync(0.1)", "random-arc(2.0)"),
+     "axis delta needs a near-sync or near-bipolar init"),
+    (["sweep", "--axis", "domega", "--values", "0.1"], NONIDENTICAL_CFG,
+     "axis domega needs omega = uniform(...)"),
+    (["classify"], NONIDENTICAL_CFG, "classification applies to the identical model"),
+], ids=["spec-unparsable", "no-run-section", "unknown-init", "unknown-omega",
+        "delta-axis-random-arc", "domega-axis-zero-omega", "classify-nonidentical"])
+def test_config_refusal_exits_2_naming_the_fault(tmp_path, capsys, args, text, fault):
+    cfg = write_config(tmp_path / "run.ini", text)
+    out = tmp_path / "out"
+    assert main([args[0], cfg, *args[1:], "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert fault in capsys.readouterr().err
+
+
+# a text that each [run] key reads, and the value it reads as
+RUN_KEY_VALUES = {
+    "model": ("NonIdentical", "nonidentical"),
+    "n": ("3.0", 3),
+    "seed": ("7", 7),
+    "init": ("near-bipolar(0.2)", "near-bipolar(0.2)"),
+    "omega": ("explicit(0, 0, 0)", "explicit(0, 0, 0)"),
+    "coupling": ("2", 2.0),
+    "step": ("5e-3", 0.005),
+    "max_steps": ("5e1", 50),
+    "conv_tol": ("0", 0.0),
+    "problem": ("quadratic", "quadratic"),
+    "x0": ("explicit(0.5, 0.5)", "explicit(0.5, 0.5)"),
+}
+DECLARED_TYPES = {"int": int, "float": float, "float | None": float, "str": str}
+RUN_FIELDS = [f for f in dataclasses.fields(cli.RunConfig) if f.name != "certifiers"]
+
+
+@pytest.mark.parametrize("fmt", ["ini", "json"])
+@pytest.mark.parametrize("field", RUN_FIELDS, ids=[f.name for f in RUN_FIELDS])
+def test_each_run_key_reads_as_its_declared_type(tmp_path, field, fmt):
+    # every RunConfig field is a [run] key that is read, none is dropped
+    text, value = RUN_KEY_VALUES[field.name]
+    run = {**GOOD_RUN, field.name: text}
+    if fmt == "json":
+        written = json.dumps({"run": run})
+    else:
+        written = "[run]\n" + "".join(f"{k} = {v}\n" for k, v in run.items())
+    cfg = write_config(tmp_path / f"run.{fmt}", written)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
+    echo = read_json(out / "report.json")["config"][field.name]
+    assert echo == value and type(echo) is DECLARED_TYPES[field.type]
+
+
+AXIS_RUN = {"model": "nonidentical", "n": "4", "seed": "5", "init": "near-bipolar(0.05)",
+            "omega": "uniform(0.1)", "coupling": "1.0", "step": "0.01", "max_steps": "100"}
+
+
+@pytest.mark.parametrize("axis,value,key,text", [
+    ("K", 2.5, "coupling", "2.5"),
+    ("h", 0.02, "step", "0.02"),
+    ("N", 5.0, "n", "5"),
+    ("delta", 0.25, "init", "near-bipolar(delta=0.25)"),
+    ("domega", 0.3, "omega", "uniform(spread=0.3)"),
+])
+def test_sweep_axis_sets_its_run_key_as_a_loaded_config_does(tmp_path, axis, value, key, text):
+    def load(run):
+        lines = [f"{k} = {v}" for k, v in run.items()]
+        path = write_config(tmp_path / "run.ini", "\n".join(
+            ["[run]", *lines, "[certifiers]", "uniform_bound = l=1.0", ""]))
+        return cli.load_config(path)
+
+    cfg = load(AXIS_RUN)
+    point, loaded = cli._apply_axis(cfg, axis, value), load({**AXIS_RUN, key: text})
+    for field in dataclasses.fields(cli.RunConfig):
+        a, b = getattr(point, field.name), getattr(loaded, field.name)
+        assert (a, type(a)) == (b, type(b)), field.name
+    assert cfg == load(AXIS_RUN)  # the point is a copy

@@ -7,6 +7,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,3 +181,75 @@ def test_a_config_that_does_not_decode_exits_2(tmp_path):
     path.write_bytes(b"\xff[run]\nn = 3\n")
     assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
     assert not (tmp_path / "out").exists()
+
+
+# Valid configs only: every model, every init and omega spec family with its
+# argument in range (by position, by name or left to its default), and
+# certifiers with well-typed, finite options, in INI and in JSON.  Each draw
+# runs, so it exits 0 or 3, never 2.
+def valid_spec(name, key, value):
+    return st.one_of(st.just(name), value.map(lambda v: f"{name}({v!r})"),
+                     value.map(lambda v: f"{name}({key}={v!r})"))
+
+
+def valid_options(name):
+    def value(p):
+        if p.name in _INTEGER_OPTIONS:
+            return st.integers(-5, 400)
+        if p.name == "eps":
+            return st.floats(1e-3, 3.0)
+        return st.floats(allow_nan=False, allow_infinity=False)
+    params = parameters(name)
+    return st.fixed_dictionaries(
+        {p.name: value(p) for p in params if p.default is p.empty},
+        optional={p.name: value(p) for p in params if p.default is not p.empty})
+
+
+def explicit(values):
+    return f"explicit({', '.join(map(repr, values))})"
+
+
+@st.composite
+def valid_config(draw):
+    model = draw(st.sampled_from(["identical", "nonidentical", "generic_dgf"]))
+    run = {"model": model, "seed": draw(st.integers(0, 2**40)),
+           "step": draw(st.floats(1e-3, 0.5)), "max_steps": draw(st.integers(0, 300)),
+           "conv_tol": draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]))}
+    if model == "generic_dgf":
+        problem = draw(st.sampled_from(["double_well", "quadratic"]))
+        size, bound = (1, 2.0) if problem == "double_well" else (draw(st.integers(1, 4)), 1e3)
+        run.update(problem=problem, x0=explicit(draw(st.lists(
+            st.floats(-bound, bound), min_size=size, max_size=size))))
+        names = ["descent", "gradient_square_sum"]
+    else:
+        n = draw(st.integers(2, 16))
+        inits = [valid_spec("near-sync", "delta", st.floats(1e-3, 3.0)),
+                 valid_spec("random-arc", "width", st.floats(0.01, 6.28)),
+                 st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n,
+                          unique=True).map(explicit)]
+        if n >= 3:
+            inits.append(valid_spec("near-bipolar", "delta", st.floats(1e-3, 1.0)))
+        omegas = [st.just("zero"), st.just(explicit([0.0] * n)), st.just("uniform(0.0)")]
+        if model == "nonidentical":
+            omegas += [valid_spec("uniform", "spread", st.floats(0.0, 2.0)),
+                       st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).map(
+                           lambda w: explicit((np.array(w) - np.mean(w)).tolist()))]
+        run.update(n=n, init=draw(st.one_of(inits)), omega=draw(st.one_of(omegas)),
+                   coupling=draw(st.floats(0.01, 4.0)))
+        names = sorted(CERTIFIERS)
+    chosen = draw(st.permutations(names))[:draw(st.integers(0, 3))]
+    return run, {name: draw(valid_options(name)) for name in chosen}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(config=valid_config(), fmt=st.sampled_from(["ini", "json"]))
+def test_valid_configs_run_and_write_strict_json_or_diverge(config, fmt):
+    run, certs = config
+    if fmt == "json":
+        text = json.dumps({"run": run, "certifiers": certs})
+    else:
+        lines = ["[run]"] + [f"{k} = {v}" for k, v in run.items()]
+        lines += ["[certifiers]"] + [f"{name} = {_ini_value(opts)}"
+                                     for name, opts in certs.items()]
+        text = "\n".join(lines) + "\n"
+    assert run_config(f"run.{fmt}", text) in (0, 3)
