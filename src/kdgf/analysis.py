@@ -489,6 +489,8 @@ def cluster_spec(n: int, n0: int, l: float, d_omega: float,
     f = 2.0 * coupling / n * math.sin(l / 2.0) * margin - d_omega
 
     if f > 0:
+        if c + e == 0:  # both products of the coupling underflow
+            raise ValueError(f"step_max constants underflow to 0 at coupling {coupling!r}")
         terms = [(math.pi - l) / d2k, margin / a, f / (c + e)]
         if d_omega > 0:
             terms.append(l / d_omega)

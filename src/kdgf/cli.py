@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import gc
 import inspect
 import json
 import math
@@ -234,7 +233,11 @@ def build_initial(cfg: RunConfig) -> PhaseConfig:
     name, pos, kw = _parse_spec(cfg.init)
     if name == "explicit":
         theta = _explicit(cfg.init, "init", cfg.n)
-        return PhaseConfig(theta - theta.mean())
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            centred = theta - theta.mean()
+        if np.isfinite(theta).all() and not np.isfinite(centred).all():
+            raise ConfigError("init: centring the explicit phases on their mean overflows")
+        return PhaseConfig(centred)
     if name == "near-sync":
         return inits.near_sync(cfg.n, _spec_arg(cfg.init, pos, kw, "delta", 0.1))
     if name == "near-bipolar":
@@ -651,18 +654,10 @@ def _run_points(points, out_dir: Path, fmt: str) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     workers = min(len(points), len(os.sched_getaffinity(0)))
-    # A forked worker's garbage collections would otherwise walk every object
-    # it shares with the parent, copying each page they touch: that made a
-    # point's certify-and-write 1.5 to 2 times slower than in the parent.
-    gc.freeze()
-    try:
-        with ProcessPoolExecutor(workers,
-                                 mp_context=multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(_sweep_point, points,
-                                 [out_dir / f"point_{i:03d}" for i in range(len(points))],
-                                 [fmt] * len(points)))
-    finally:
-        gc.unfreeze()
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_sweep_point, points,
+                             [out_dir / f"point_{i:03d}" for i in range(len(points))],
+                             [fmt] * len(points)))
 
 
 def execute_sweep(cfg: RunConfig, axis: str, values, out_dir: Path,
@@ -738,10 +733,16 @@ def execute_thresholds(n, n0, l, domega, coupling=None, dtheta0=None) -> dict:
         # evaluate step_max at twice the minimum coupling by default
         probe = analysis.cluster_spec(n, n0, l, domega, coupling=1.0)
         k_ref = 2.0 * probe.k_min if probe.k_min > 0 else 1.0
+        if not math.isfinite(k_ref):
+            raise ValueError(f"the default coupling 2 * k_min overflows (k_min = {probe.k_min!r})")
     out = dataclasses.asdict(analysis.cluster_spec(n, n0, l, domega, coupling=k_ref))
     out["domega"] = out.pop("d_omega")
     if dtheta0 is not None:
         out["sync_threshold"] = analysis.coupling_threshold(domega, dtheta0)
+    # finite inputs, so a value that is not finite overflowed; JSON has no infinity
+    overflowed = [key for key, value in sorted(out.items()) if not math.isfinite(value)]
+    if overflowed:
+        raise ValueError(f"{', '.join(overflowed)} overflow to infinity at these inputs")
     return out
 
 

@@ -52,7 +52,11 @@ class NaturalFrequencies:
         if not np.all(np.isfinite(arr)):
             raise ValueError("omega contains non-finite entries")
         scale = max(1.0, float(np.abs(arr).max()))
-        if abs(float(arr.mean())) > 1e-12 * scale:
+        with np.errstate(over="ignore"):  # refused below
+            mean = float(arr.mean())
+        if not math.isfinite(mean):
+            raise ValueError("the mean of omega overflows")
+        if abs(mean) > 1e-12 * scale:
             raise ValueError("omega must have zero mean")
         arr.setflags(write=False)
         object.__setattr__(self, "omega", arr)
@@ -188,9 +192,7 @@ def velocity_arrays(theta, omega, coupling, out=None, sums=(None, None)):
 
 
 def gradient_arrays(theta, omega, coupling):
-    v = velocity_arrays(theta, omega, coupling)
-    np.negative(v, out=v)
-    return v
+    return -velocity_arrays(theta, omega, coupling)
 
 
 def potential_from_mean_field(z, theta, omega, coupling):

@@ -87,10 +87,8 @@ def euler_step(config: PhaseConfig, freqs: NaturalFrequencies,
     euler_step(c) == c - h * gradient(c) holds bitwise.
     """
     _check_lengths(config, freqs)
-    v = velocity_arrays(config.phases, freqs.omega, params.coupling)
-    v *= params.step_size
-    v += config.phases
-    return PhaseConfig(v)
+    return PhaseConfig(config.phases + params.step_size
+                       * velocity_arrays(config.phases, freqs.omega, params.coupling))
 
 
 def simulate(init: PhaseConfig, freqs: NaturalFrequencies,
@@ -212,26 +210,12 @@ RK4_STEP = 0.1  # no RK4 step takes dt * (K + d_omega) above this
 def rk4_step(theta: np.ndarray, omega: np.ndarray, coupling: float,
              dt: float) -> np.ndarray:
     """One classical 4th-order Runge-Kutta step of the continuous flow,
-    theta + (dt/6)(k1 + 2 k2 + 2 k3 + k4), summed left to right.  The sum
-    accumulates stage by stage in three buffers."""
-    acc = velocity_arrays(theta, omega, coupling)  # k1
-    y = np.multiply(acc, 0.5 * dt)
-    y += theta
-    k = velocity_arrays(y, omega, coupling)  # k2
-    np.multiply(k, 0.5 * dt, out=y)
-    y += theta
-    k *= 2.0
-    acc += k
-    velocity_arrays(y, omega, coupling, out=k)  # k3
-    np.multiply(k, dt, out=y)
-    y += theta
-    k *= 2.0
-    acc += k
-    velocity_arrays(y, omega, coupling, out=k)  # k4
-    acc += k
-    acc *= dt / 6.0
-    acc += theta
-    return acc
+    theta + (dt/6)(k1 + 2 k2 + 2 k3 + k4), summed left to right."""
+    k1 = velocity_arrays(theta, omega, coupling)
+    k2 = velocity_arrays(theta + 0.5 * dt * k1, omega, coupling)
+    k3 = velocity_arrays(theta + 0.5 * dt * k2, omega, coupling)
+    k4 = velocity_arrays(theta + dt * k3, omega, coupling)
+    return theta + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def rk4_flow(theta: np.ndarray, omega: np.ndarray, coupling: float, dt: float,

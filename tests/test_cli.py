@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line harness."""
 import dataclasses
 import inspect
+import itertools
 import json
 import math
 import os
@@ -1331,3 +1332,115 @@ def test_sweep_axis_sets_its_run_key_as_a_loaded_config_does(tmp_path, axis, val
         a, b = getattr(point, field.name), getattr(loaded, field.name)
         assert (a, type(a)) == (b, type(b)), field.name
     assert cfg == load(AXIS_RUN)  # the point is a copy
+
+
+# ---------------------------------------------------------------------------
+# thresholds and config values at the ends of the float range
+# ---------------------------------------------------------------------------
+
+UNDERFLOW_CFG = """
+[run]
+model = nonidentical
+n = 4
+init = near-sync(0.1)
+omega = zero
+coupling = 1e-320
+step = 0.01
+max_steps = 50
+
+[certifiers]
+cluster_invariance = n0=3, l=1.0
+"""
+
+
+def test_cluster_invariance_whose_constants_underflow_is_a_failed_verdict(tmp_path):
+    # at a subnormal coupling the step_max constants c + e round to 0
+    cfg = write_config(tmp_path / "run.ini", UNDERFLOW_CFG)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
+    [verdict] = read_json(out / "report.json")["verdicts"]
+    assert verdict["passed"] is False and "underflow" in verdict["reason"]
+
+
+@pytest.mark.parametrize("args", [
+    ["--domega", "0", "--coupling", "1e-320"], ["--domega", "1e-320"],
+    ["--domega", "1e308", "--coupling", "1.0", "--dtheta0", "1e-300"], ["--domega", "1e308"],
+], ids=["coupling-underflows", "default-coupling-underflows", "k-min-overflows",
+        "default-coupling-overflows"])
+def test_thresholds_out_of_float_range_exit_2_naming_the_value(capsys, args):
+    assert main(["thresholds", "--n", "4", "--n0", "3", "--l", "1.0", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and re.search("underflow|overflow", captured.err)
+
+
+EXTREMES = ["0", "1e-320", "1e-200", "1.0", "1e200", "1e308"]
+
+
+def test_thresholds_print_strict_json_or_exit_2_at_extreme_inputs(capsys):
+    printed = 0
+    for l, domega, coupling, dtheta0 in itertools.product(
+            ["1e-300", "1.0", "2.4"], EXTREMES, [None, *EXTREMES[1:]], [None, "1e-300", "1.0"]):
+        args = ["thresholds", "--n", "4", "--n0", "3", "--l", l, "--domega", domega]
+        args += ["--coupling", coupling] * (coupling is not None)
+        args += ["--dtheta0", dtheta0] * (dtheta0 is not None)
+        rc = main(args)
+        captured = capsys.readouterr()
+        assert rc in (0, 2), args
+        if rc == 0:
+            strict_json(captured.out)
+            printed += 1
+        else:
+            assert captured.out == "" and captured.err.startswith("error: "), args
+    assert printed > 100  # the grid reaches printed thresholds, not only refusals
+
+
+@pytest.mark.parametrize("run", [
+    "n = 3\ninit = explicit(1e308, 1e308, -1e308)\n",
+    "n = 4\nomega = explicit(1e308, 1e308, -1e308, -1e308)\n",
+], ids=["init-mean", "omega-mean"])
+def test_explicit_values_whose_mean_overflows_exit_2(tmp_path, run):
+    # a numpy overflow warning would print, or be a traceback under -W error
+    cfg = write_config(tmp_path / "run.ini", "[run]\nmodel = nonidentical\n" + run
+                       + "coupling = 1.0\nstep = 0.01\nmax_steps = 50\n")
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for flags in ([], ["-W", "error"]):
+        done = subprocess.run([sys.executable, *flags, "-m", "kdgf.cli", "run", cfg,
+                               "--out", str(out), "--quiet"], capture_output=True, text=True, env=env)
+        assert done.returncode == 2 and not out.exists()
+        assert "Warning" not in done.stderr and "mean" in done.stderr and "overflows" in done.stderr
+
+
+# ---------------------------------------------------------------------------
+# refusals that only the CLI reaches
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("args,edits,rc,reason", [
+    (["run"], [("n = 4", "n = 2")], 2, "need at least three oscillators"),
+    (["thresholds", "--n", "1", "--n0", "1", "--l", "1.0", "--domega", "0.1"], [], 2,
+     "n must be at least 2"),
+    (["run"], [("uniform_bound = l=1.0", "two_sided_decay = alpha=-0.1, tol=0.2")],
+     0, "alpha must be positive"),
+    (["run"], [("near-bipolar(0.05)", "near-sync(0.5)"),
+               ("uniform_bound = l=1.0", "cluster_invariance = n0=3, l=0.5")],
+     0, "initial cluster diameter"),
+    (["run"], [("near-bipolar(0.05)", "near-sync(0.1)"), ("step = 0.01", "step = 1.0"),
+               ("uniform_bound = l=1.0", "cluster_invariance = n0=3, l=1.0")],
+     0, "not below step_max"),
+], ids=["near-bipolar-n2", "thresholds-n1", "negative-alpha", "cluster-too-wide",
+        "step-above-step-max"])
+def test_cli_refusal_is_an_exit_2_or_a_failed_verdict(tmp_path, capsys, args, edits, rc, reason):
+    # a refusal of the inputs exits 2 before writing; an unmet certifier
+    # hypothesis is the run's one verdict, failed with its reason
+    text = NEAR_BIPOLAR_CFG
+    for old, new in edits:
+        text = text.replace(old, new)
+    out = tmp_path / "out"
+    if args[0] == "run":
+        args = ["run", write_config(tmp_path / "run.ini", text), "--out", str(out), "--quiet"]
+    assert main(args) == rc
+    if rc == 0:
+        [failed] = read_json(out / "report.json")["verdicts"]
+        assert failed["passed"] is False and reason in failed["reason"]
+    else:
+        assert not out.exists() and reason in capsys.readouterr().err
