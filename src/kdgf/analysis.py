@@ -334,9 +334,9 @@ def certify_diameter_decay(traj: Trajectory, subset, eps: float,
     return _first_failure(envelope=ok)
 
 
-def certify_two_sided_decay(traj: Trajectory, subset, coupling: float,
-                            alpha: float, floor: float = 1e-13) -> Certificate:
-    """Two-sided envelope for the locked-group diameter:
+def certify_two_sided_decay(traj: Trajectory, subset, alpha: float,
+                            floor: float = 1e-13) -> Certificate:
+    """Two-sided envelope for the locked-group diameter, K the run's coupling:
 
         D(0) exp(-2 K n h)  <  D(n)  <  D(0) exp(-alpha n h)
 
@@ -345,6 +345,7 @@ def certify_two_sided_decay(traj: Trajectory, subset, coupling: float,
     comparison is vacuous at rounding noise).  A rate alpha >= 2K would make
     the two sides contradict and is rejected.
     """
+    coupling = traj.params.coupling
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     if alpha >= 2.0 * coupling:
@@ -494,6 +495,8 @@ def cluster_spec(n: int, n0: int, l: float, d_omega: float,
         terms = [(math.pi - l) / d2k, margin / a, f / (c + e)]
         if d_omega > 0:
             terms.append(l / d_omega)
+        if any(map(math.isnan, terms)):  # 2K overflows: inf * 0 or inf / inf
+            raise ValueError(f"step_max constants overflow at coupling {coupling!r}")
         step_max = min(terms)
     else:
         step_max = 0.0  # coupling at or below threshold: no admissible step
@@ -503,13 +506,13 @@ def cluster_spec(n: int, n0: int, l: float, d_omega: float,
     )
 
 
-def certify_cluster_invariance(traj: Trajectory, spec: ClusterSpec) -> Certificate:
+def certify_cluster_invariance(traj: Trajectory, n0: int, l: float) -> Certificate:
     """Check the first-n0 diameter stays strictly below l at every step
-    (``where`` "cluster")."""
-    if traj.n != spec.n:
-        raise ValueError("trajectory size does not match cluster spec")
-    d = span(traj.phases[:, :spec.n0])
-    d0, l = float(d[0]), float(spec.l)
+    (``where`` "cluster"), under the thresholds of the run's own size,
+    frequency spread and coupling."""
+    spec = cluster_spec(traj.n, n0, l, traj.freqs.d_omega, traj.params.coupling)
+    d = span(traj.phases[:, :n0])
+    d0, l = float(d[0]), float(l)
     k, h = float(traj.params.coupling), float(traj.params.step_size)
     problems = []
     if not d0 < l:
@@ -520,7 +523,7 @@ def certify_cluster_invariance(traj: Trajectory, spec: ClusterSpec) -> Certifica
         problems.append(f"step size {h!r} not below step_max {spec.step_max!r}")
     if problems:
         raise ValueError("preconditions unmet: " + "; ".join(problems))
-    return _first_failure(cluster=~(d >= spec.l))
+    return _first_failure(cluster=~(d >= l))
 
 
 def certify_uniform_bound(traj: Trajectory, l: float) -> Certificate:

@@ -340,11 +340,10 @@ def _cert_diameter_decay(traj, eps=0.3, rate=None, floor=0.0):
 
 def _cert_two_sided_decay(traj, eps=0.3, alpha=None, floor=1e-13, tol=0.05):
     eq = _need_bipolar_state(traj, tol)
-    k = traj.params.coupling
     if alpha is None:
-        alpha = _default_alpha(traj.n, k, eps)
+        alpha = _default_alpha(traj.n, traj.params.coupling, eps)
     subset = [i for i in range(traj.n) if i != eq.bipolar_index]
-    cert = analysis.certify_two_sided_decay(traj, subset, k, alpha, floor=floor)
+    cert = analysis.certify_two_sided_decay(traj, subset, alpha, floor=floor)
     return {"passed": cert.passed, "alpha": alpha, "side": cert.where,
             "first_violation": cert.first_violation}
 
@@ -366,7 +365,7 @@ def _cert_bipolar_bounds(traj, eps=0.3, alpha=None, tol=0.05):
 
 def _cert_cluster_invariance(traj, n0, l):
     spec = analysis.cluster_spec(traj.n, n0, l, traj.freqs.d_omega, traj.params.coupling)
-    cert = analysis.certify_cluster_invariance(traj, spec)
+    cert = analysis.certify_cluster_invariance(traj, n0, l)
     return {"passed": cert.passed, "first_violation": cert.first_violation,
             "k_min": spec.k_min, "step_max": spec.step_max,
             "max_cluster_diameter": float(span(traj.phases[:, :n0]).max())}
@@ -385,22 +384,18 @@ def _cert_fit_decay(traj, start=0, stop=None):
             "r_squared": fit.r_squared, "degenerate": fit.degenerate}
 
 
-def _cert_error_bound(traj, lipschitz=None, max_steps=20_000):
+def _cert_error_bound(traj, max_steps=20_000):
     # the reference takes `substeps` RK4 steps per Euler step; its cost is
     # capped at the RK4 work of 10 substeps for each of max_steps steps
     if traj.n_steps > max_steps:
         raise ValueError("run too long for the reference integration")
-    if lipschitz is None:
-        lipschitz = 2.0 * traj.params.coupling
-    if not lipschitz > 0:  # known before the reference is built
-        raise ValueError("lipschitz must be positive")
     h = traj.params.step_size
     substeps = rk4_substeps(h, traj.params.coupling, traj.freqs)
     if traj.n_steps * substeps > 10 * max_steps:
         raise ValueError(f"run too long for the reference integration: {traj.n_steps} "
                          f"steps of {substeps} RK4 substeps exceed 10 * max_steps")
     oracle = rk4_reference(traj.config(0), traj.freqs, traj.params.coupling, h, traj.n_steps)
-    rep = euler_error_bound(traj, oracle, lipschitz)
+    rep = euler_error_bound(traj, oracle)
     return {"passed": rep.within_bound,
             "truncation_max": rep.truncation_max,
             "max_observed_error": float(rep.observed_error.max()),

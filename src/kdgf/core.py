@@ -2,8 +2,9 @@
 
 Phases live on the unwrapped real line (not reduced mod 2*pi) so that
 winding information survives long runs; equilibrium matching depends on it.
-All container types are immutable after construction and all operations are
-pure, so everything here is safe to share across threads.
+The container types are immutable after construction.  ``coupling_sums`` and
+``velocity_arrays`` write into the ``out`` and ``sums`` buffers a caller
+passes them; every other operation is pure.
 """
 from __future__ import annotations
 

@@ -291,34 +291,45 @@ class ErrorBoundReport:
     within_bound: bool
 
 
-def euler_error_bound(traj: Trajectory, oracle: Rk4Path,
-                      lipschitz: float) -> ErrorBoundReport:
+def euler_error_bound(traj: Trajectory, oracle: Rk4Path) -> ErrorBoundReport:
     """Check sup-norm error against (T_max / L) * (exp(L n h) - 1).
 
     T_max is the largest one-step defect of the reference solution pushed
-    through the Euler update; L is the sup-norm Lipschitz constant of the
-    vector field (2K for the oscillator system).  ``oracle`` must come from
-    rk4_reference with the run's step size and step count, so its rows are
-    the reference states at the run's own times.
+    through the Euler update; L = 2K is a sup-norm Lipschitz constant of the
+    run's vector field, whose Jacobian rows sum to at most 2K(N-1)/N in
+    absolute value.  ``oracle`` must come from rk4_reference with the run's
+    initial phases, step size and step count, so its rows are the reference
+    states at the run's own times; its row 1 must be ``oracle.substeps`` RK4
+    steps of the run's own system from row 0.
     """
-    if not lipschitz > 0:
-        raise ValueError("lipschitz must be positive")
-    h = traj.params.step_size
+    h, k, omega = traj.params.step_size, traj.params.coupling, traj.freqs.omega
     m = traj.n_steps
     ref = oracle.knots
     if ref.shape != traj.phases.shape or oracle.step_size != h:
         raise ValueError("reference mismatch: the reference must have the run's "
                          "step size and step count")
+    if ref[0].tobytes() != traj.phases[0].tobytes():
+        raise ValueError("reference mismatch: the reference does not start from "
+                         "the run's initial phases")
+    if m:
+        flow = rk4_flow(ref[0], omega, k, h / oracle.substeps, oracle.substeps)
+        next(flow)
+        with np.errstate(over="ignore", invalid="ignore"):  # as rk4_reference steps
+            first, _ = next(flow)
+        if first.tobytes() != ref[1].tobytes():
+            raise ValueError("reference mismatch: the reference's first step is not "
+                             "the flow of the run's coupling and frequencies")
 
     # one-step defect of the true solution under the Euler update, one
     # kernel call per chunk of steps
     trunc = np.zeros(m + 1)
     for rows in row_chunks(m, ref.shape[1]):
         y0, y1 = ref[:-1][rows], ref[1:][rows]
-        f_ref = velocity_arrays(y0, traj.freqs.omega, traj.params.coupling)
+        f_ref = velocity_arrays(y0, omega, k)
         trunc[:-1][rows] = np.abs((y1 - y0) / h - f_ref).max(axis=1)
     t_max = float(trunc.max())
 
+    lipschitz = 2.0 * k
     steps = np.arange(m + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         growth = np.expm1(lipschitz * steps * h)

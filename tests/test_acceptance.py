@@ -148,7 +148,7 @@ def test_a04_euler_global_error():
         steps = int(round(t_end / h))
         traj = simulate(init, freqs, SimParams(k, h, max_steps=steps, conv_tol=0.0))
         oracle = rk4_reference(init, freqs, k, h, steps)
-        rep = euler_error_bound(traj, oracle, lipschitz=2.0 * k)
+        rep = euler_error_bound(traj, oracle)
         assert rep.within_bound, f"bound violated for h={h}"
         max_errors.append(float(rep.observed_error.max()))
     for a, b in zip(max_errors, max_errors[1:]):
@@ -204,7 +204,7 @@ def test_a06_two_sided_decay_sandwich(bipolar_run):
     assert cls.kind == "bipolar" and cls.bipolar_index == 2
     n, eps = 3, 0.3
     alpha = k * ((n - 1) * math.sin(eps) / eps - 1.0) / (2.0 * n)
-    cert = certify_two_sided_decay(traj, [0, 1], k, alpha, floor=1e-13)
+    cert = certify_two_sided_decay(traj, [0, 1], alpha, floor=1e-13)
     assert cert.passed, f"{cert.where} bound violated at {cert.first_violation}"
     # the envelope was checked on every step: the diameter never fell below the floor
     locked = traj.phases[1:, :2]
@@ -284,7 +284,7 @@ def test_a09_cluster_invariance_and_uniform_bound(cluster_setup):
     l, omega, spec, k, h, init = cluster_setup
     traj = simulate(init, omega, SimParams(k, h, max_steps=1_000_000, conv_tol=0.0))
     assert traj.n_steps == 1_000_000
-    cert = certify_cluster_invariance(traj, spec)
+    cert = certify_cluster_invariance(traj, 3, l)
     assert cert.passed, f"cluster left l at step {cert.first_violation}"
     cap = certify_uniform_bound(traj, l)
     assert cap.passed, f"diameter exceeded 4pi+2l at step {cap.first_violation}"

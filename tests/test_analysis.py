@@ -481,7 +481,7 @@ def test_two_sided_envelope_near_bipolar():
     traj = run_identical(near_bipolar(3, 0.05), k=k, h=0.005, steps=2_000,
                          conv_tol=0.0)
     alpha = k * (2 * math.sin(eps) / eps - 1) / 6
-    cert = certify_two_sided_decay(traj, [0, 1], k, alpha)
+    cert = certify_two_sided_decay(traj, [0, 1], alpha)
     assert cert.passed
 
 
@@ -491,21 +491,35 @@ def test_two_sided_envelope_near_bipolar():
 ])
 def test_two_sided_names_the_broken_side(d, expected):
     rows = [[0.0, x, 0.5] for x in d]
-    cert = certify_two_sided_decay(synthetic_trajectory(rows, h=1.0), [0, 1], 1.0, 0.1)
+    cert = certify_two_sided_decay(synthetic_trajectory(rows, h=1.0), [0, 1], 0.1)
     assert (cert.passed, cert.first_violation, cert.where) == expected
+
+
+def test_two_sided_reads_the_runs_own_coupling():
+    # one diameter series judged at K = 1 and K = 2, h = 1: the lower envelope
+    # D(0) exp(-2 K n h) is 1.8e-3 at step 2 for K = 1 and 3.4e-5 for K = 2
+    rows = [[0.0, x, 0.5] for x in (0.1, 0.1 * math.exp(-0.5), 1e-3)]
+    at = {k: synthetic_trajectory(rows, h=1.0, k=k) for k in (1.0, 2.0)}
+    cert = certify_two_sided_decay(at[1.0], [0, 1], 0.1)
+    assert (cert.passed, cert.first_violation, cert.where) == (False, 2, "lower")
+    assert certify_two_sided_decay(at[2.0], [0, 1], 0.1).passed
+    # alpha = 2.5 contradicts 2K at K = 1 only
+    with pytest.raises(ValueError, match="alpha >= 2K"):
+        certify_two_sided_decay(at[1.0], [0, 1], 2.5)
+    assert certify_two_sided_decay(at[2.0], [0, 1], 2.5).where == "upper"
 
 
 def test_two_sided_rejects_contradictory_alpha():
     traj = run_identical(near_bipolar(3, 0.05), k=1.0, h=0.005, steps=10,
                          conv_tol=0.0)
     with pytest.raises(ValueError, match="alpha"):
-        certify_two_sided_decay(traj, [0, 1], 1.0, alpha=2.5)
+        certify_two_sided_decay(traj, [0, 1], alpha=2.5)
 
 
 def test_two_sided_requires_positive_initial_diameter():
     rows = [[0.0, 0.0, 0.5]] * 3
     with pytest.raises(ValueError, match="positive"):
-        certify_two_sided_decay(synthetic_trajectory(rows), [0, 1], 1.0, 0.1)
+        certify_two_sided_decay(synthetic_trajectory(rows), [0, 1], 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -633,12 +647,18 @@ def test_cluster_spec_no_admissible_step_below_threshold():
     assert spec.step_max == 0.0
 
 
+@pytest.mark.parametrize("d_omega", [0.0, 0.2])
+def test_cluster_spec_refuses_step_max_constants_that_overflow(d_omega):
+    # 2K overflows to inf, so f / (c + e) is inf * 0 or inf / inf: a nan
+    with pytest.raises(ValueError, match="step_max constants overflow at coupling 1e\\+308"):
+        cluster_spec(4, 3, 1.0, d_omega, coupling=1e308)
+
+
 def test_cluster_invariance_identical_trivial():
     init = near_sync(4, 0.05)
     f = NaturalFrequencies([-0.005, -0.001, 0.002, 0.004])
-    spec = cluster_spec(4, 3, math.pi / 3, f.d_omega, coupling=1.0)
     traj = simulate(init, f, SimParams(1.0, 0.001, max_steps=2_000, conv_tol=0.0))
-    cert = certify_cluster_invariance(traj, spec)
+    cert = certify_cluster_invariance(traj, 3, math.pi / 3)
     assert cert.passed
 
 
@@ -652,20 +672,33 @@ def test_cluster_invariance_with_offset_outsider():
     cluster = -math.pi / 2 + np.array([-0.45 * l, 0.0, 0.45 * l])
     init = PhaseConfig(np.append(cluster, -math.pi / 2 + 2 * math.pi))
     traj = simulate(init, omega, SimParams(k, h, max_steps=20_000, conv_tol=0.0))
-    cert = certify_cluster_invariance(traj, spec)
+    cert = certify_cluster_invariance(traj, 3, l)
     assert cert.passed
     assert certify_uniform_bound(traj, l).passed
 
 
 def test_cluster_invariance_precondition_errors():
     omega = NaturalFrequencies([-0.1, -0.02, 0.02, 0.1])
-    spec = cluster_spec(4, 3, math.pi / 3, omega.d_omega, coupling=1.1)
+    spec = cluster_spec(4, 3, math.pi / 3, omega.d_omega, coupling=0.3)
     init = near_sync(4, 0.1)
     traj = simulate(init, omega, SimParams(0.3, 0.001, max_steps=10, conv_tol=0.0))
     # the message names the values it compared
     with pytest.raises(ValueError, match=re.escape(
             f"preconditions unmet: coupling 0.3 not above k_min {spec.k_min!r}")):
-        certify_cluster_invariance(traj, spec)
+        certify_cluster_invariance(traj, 3, math.pi / 3)
+
+
+def test_cluster_invariance_reads_the_runs_own_spread():
+    # spread 1.0 at half its own k_min: a spec of spread 0 would admit this
+    # run, the run's own thresholds refuse it
+    omega = NaturalFrequencies([-0.5, -0.1, 0.1, 0.5])
+    l = math.pi / 3
+    k = cluster_spec(4, 3, l, omega.d_omega, coupling=1.0).k_min / 2
+    init = PhaseConfig(np.array([-0.05, 0.0, 0.05, 3.0]) - 0.75)
+    traj = simulate(init, omega, SimParams(k, 0.001, max_steps=200, conv_tol=0.0))
+    with pytest.raises(ValueError, match=re.escape(
+            f"preconditions unmet: coupling {k!r} not above k_min {2 * k!r}")):
+        certify_cluster_invariance(traj, 3, l)
 
 
 def test_uniform_bound_detector():

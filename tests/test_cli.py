@@ -322,11 +322,12 @@ def test_sweep_divergent_point_is_a_summary_row(tmp_path, capsys):
     assert lines[2].startswith("1,0.001,6000,max_steps,") and lines[2].endswith(",pass")
 
 
-@pytest.mark.parametrize("options", ["", "l=1.0", "n0=2", "epz=0.3"])
+@pytest.mark.parametrize("options", ["", "l=1.0", "n0=2", "epz=0.3", "lipschitz=2.0"])
 def test_missing_certifier_option_exits_2_before_the_run(tmp_path, options):
-    # the divergent run would exit 3 if the options were checked after it
-    name = {"": "uniform_bound", "epz=0.3": "diameter_decay"}.get(
-        options, "cluster_invariance")
+    # the divergent run would exit 3 if the options were checked after it;
+    # error_bound takes its Lipschitz constant 2K from the run, not an option
+    name = {"": "uniform_bound", "epz=0.3": "diameter_decay",
+            "lipschitz=2.0": "error_bound"}.get(options, "cluster_invariance")
     cfg = write_config(tmp_path / "div.ini",
                        DIVERGENT_CFG + f"\n[certifiers]\n{name} = {options}\n")
     assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
@@ -464,8 +465,7 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys, args):
     "two_sided_decay = floor=nan, alpha=0.01, tol=0.2",
     "diameter_decay = eps=4.0, rate=nan",
     "bipolar_bounds = alpha=-inf",
-    "error_bound = lipschitz=inf",
-], ids=["bound-nan", "floor-nan", "rate-nan", "alpha-minus-inf", "lipschitz-inf"])
+], ids=["bound-nan", "floor-nan", "rate-nan", "alpha-minus-inf"])
 def test_non_finite_certifier_option_exits_2(tmp_path, certifier):
     # a NaN bound or floor passes its check vacuously, and a NaN rate would
     # be written into report.json as a bare NaN
@@ -589,8 +589,7 @@ uniform_bound = l=1.0
     ("near-bipolar(0.05)", "two_sided_decay = alpha=5.0", "alpha >= 2K"),
     ("near-bipolar(0.05)", "cluster_invariance = n0=1, l=1.0", "n0 must lie in (N/2, N]"),
     ("explicit(0, 0, 1, 2)", "order_preservation =", "subset phases are not strictly ordered"),
-    ("near-bipolar(0.05)", "error_bound = lipschitz=0", "lipschitz must be positive"),
-], ids=["alpha-above-2K", "n0-below-half", "unordered-init", "lipschitz-zero"])
+], ids=["alpha-above-2K", "n0-below-half", "unordered-init"])
 def test_certifier_that_cannot_run_is_a_failed_verdict(tmp_path, init, certifier, reason):
     text = NEAR_BIPOLAR_CFG.replace("near-bipolar(0.05)", init)
     cfg = write_config(tmp_path / "run.ini", text + certifier + "\n")
@@ -616,20 +615,6 @@ def test_certifier_that_overflows_is_a_failed_verdict():
     verdict = cli._verdict("gradient_square_sum", traj, {})
     assert verdict == {"name": "gradient_square_sum", "passed": False,
                        "reason": "overflow encountered in scalar add"}
-
-
-def test_error_bound_with_zero_lipschitz_builds_no_reference(tmp_path, monkeypatch):
-    def no_reference(*args, **kwargs):
-        raise AssertionError("the verdict is known before the reference")
-
-    monkeypatch.setattr(cli, "rk4_reference", no_reference)
-    cfg = write_config(tmp_path / "run.ini",
-                       NEAR_BIPOLAR_CFG + "error_bound = lipschitz=0\n")
-    out = tmp_path / "out"
-    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
-    verdict = read_json(out / "report.json")["verdicts"][1]
-    assert verdict == {"name": "error_bound", "passed": False,
-                       "reason": "lipschitz must be positive"}
 
 
 def test_sweep_point_whose_certifier_cannot_run_is_a_summary_row(tmp_path):
@@ -676,6 +661,14 @@ def test_thresholds_reject_non_finite_input(capsys, flag, value):
     assert main(["thresholds", *[x for kv in args.items() for x in kv]]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "finite" in captured.err
+
+
+def test_thresholds_exit_2_where_the_step_constants_overflow(capsys):
+    # 2K overflows to inf, which turns a step_max term into a nan
+    assert main(["thresholds", "--n", "4", "--n0", "3", "--l", "1.0", "--domega", "0",
+                 "--coupling", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "step_max constants overflow" in captured.err
 
 
 def test_error_bound_on_a_run_of_zero_steps(tmp_path):
@@ -927,14 +920,15 @@ def test_dgf_sweep_refuses_every_axis_but_h(tmp_path, capsys, axis, values):
 @pytest.mark.parametrize("edits", [
     {},
     # a run with no error at all: the run and its reference stay at 0
-    {"n = 4": "n = 3", "near-bipolar(0.05)": "explicit(0.0, 0.0, 0.0)",
-     "max_steps = 3000": "max_steps = 100\nconv_tol = 0"},
+    {"n = 4": "n = 3", "near-bipolar(0.05)": "explicit(0.0, 0.0, 0.0)"},
 ], ids=["near-bipolar", "zero-error"])
 def test_error_bound_with_huge_lipschitz(tmp_path, edits):
-    text = NEAR_BIPOLAR_CFG
+    # L n h = 2K * 5000 * 0.1 = 1000 at the last step: exp(L n h) overflows
+    text = NEAR_BIPOLAR_CFG.replace("step = 0.01", "step = 0.1").replace(
+        "max_steps = 3000", "max_steps = 5000\nconv_tol = 0")
     for old, new in edits.items():
         text = text.replace(old, new)
-    cfg = write_config(tmp_path / "run.ini", text + "error_bound = lipschitz=1e300\n")
+    cfg = write_config(tmp_path / "run.ini", text + "error_bound =\n")
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
     verdict = read_json(out / "report.json")["verdicts"][1]
@@ -1241,6 +1235,30 @@ def test_readme_lists_the_certifier_registry():
     assert documented == registry
     whole = re.search(r"the certifier options (.*?) must be whole numbers", text).group(1)
     assert set(re.findall(r"`(\w+)`", whole)) == cli._INTEGER_OPTIONS
+
+
+def _readme_blocks(lang):
+    return re.findall(rf"```{lang}\n(.*?)```", README.read_text(), re.S)
+
+
+def test_readme_python_example_runs_as_written(capsys):
+    [example] = _readme_blocks("python")
+    exec(example, {})
+    stop, equilibrium = capsys.readouterr().out.splitlines()
+    assert stop.split()[0] == "grad_norm"
+    assert equilibrium == "EquilibriumState(counts=(0, 0, 0))"
+
+
+def test_readme_cli_examples_run_as_written(tmp_path, monkeypatch):
+    # the INI example, saved as the run.ini that the command lines name
+    [ini] = _readme_blocks("ini")
+    (tmp_path / "run.ini").write_text(ini)
+    [commands] = [block for block in _readme_blocks("sh") if block.startswith("kdgf ")]
+    monkeypatch.chdir(tmp_path)
+    lines = commands.splitlines()
+    assert [line.split()[1] for line in lines] == ["run", "sweep", "classify", "thresholds"]
+    for line in lines:
+        assert main(line.split()[1:]) == 0, line
 
 
 def test_readme_lists_the_sweep_axes():

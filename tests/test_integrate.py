@@ -521,7 +521,7 @@ def _bound_setup(h, t_end=2.0, k=1.0):
 
 def test_error_bound_zero_at_start_and_constant_run():
     traj, oracle = _bound_setup(0.01)
-    rep = euler_error_bound(traj, oracle, lipschitz=2.0)
+    rep = euler_error_bound(traj, oracle)
     assert rep.observed_error[0] == 0.0
     assert rep.bound_curve[0] == 0.0
 
@@ -529,14 +529,14 @@ def test_error_bound_zero_at_start_and_constant_run():
                      SimParams(1.0, 0.01, max_steps=50, conv_tol=0.0))
     oracle_c = rk4_reference(PhaseConfig([0.3, 0.3, 0.3]),
                              NaturalFrequencies.zero(3), 1.0, h=0.01, n_steps=50)
-    rep_c = euler_error_bound(const, oracle_c, lipschitz=2.0)
+    rep_c = euler_error_bound(const, oracle_c)
     assert rep_c.within_bound
     assert np.all(rep_c.observed_error < 1e-13)
 
 
 def test_error_bound_holds_generic_run():
     traj, oracle = _bound_setup(0.01)
-    rep = euler_error_bound(traj, oracle, lipschitz=2.0)
+    rep = euler_error_bound(traj, oracle)
     assert rep.within_bound
     assert rep.truncation_max > 0
 
@@ -545,7 +545,7 @@ def test_truncation_scales_linearly_in_h():
     maxima = []
     for h in (0.04, 0.02, 0.01):
         traj, oracle = _bound_setup(h, t_end=1.0)
-        rep = euler_error_bound(traj, oracle, lipschitz=2.0)
+        rep = euler_error_bound(traj, oracle)
         maxima.append(rep.truncation_max)
     for a, b in zip(maxima, maxima[1:]):
         assert 1.6 <= a / b <= 2.4
@@ -553,14 +553,26 @@ def test_truncation_scales_linearly_in_h():
 
 def test_error_bound_validations():
     traj, oracle = _bound_setup(0.01, t_end=1.0)
-    with pytest.raises(ValueError, match="lipschitz"):
-        euler_error_bound(traj, oracle, lipschitz=0.0)
     # a reference for another step count or another step size
     for h, n_steps in ((0.01, 20), (0.02, 100)):
         other = rk4_reference(PhaseConfig([-0.8, 0.15, 0.65]),
                               NaturalFrequencies.zero(3), 1.0, h, n_steps)
         with pytest.raises(ValueError, match="mismatch"):
-            euler_error_bound(traj, other, lipschitz=2.0)
+            euler_error_bound(traj, other)
+
+
+def test_error_bound_refuses_the_flow_of_another_system():
+    # references on the run's own grid, of another coupling and from another
+    # start: each would otherwise be compared against the run's envelope
+    traj, oracle = _bound_setup(0.01, t_end=1.0)
+    f = NaturalFrequencies.zero(3)
+    assert euler_error_bound(traj, oracle).within_bound
+    other_k = rk4_reference(PhaseConfig([-0.8, 0.15, 0.65]), f, 3.0, 0.01, 100)
+    with pytest.raises(ValueError, match="first step is not the flow"):
+        euler_error_bound(traj, other_k)
+    other_start = rk4_reference(PhaseConfig([-0.7, 0.05, 0.65]), f, 1.0, 0.01, 100)
+    with pytest.raises(ValueError, match="does not start from the run's initial phases"):
+        euler_error_bound(traj, other_start)
 
 
 def _fine_reference(init, freqs, k, h, n_steps, substeps):
@@ -589,7 +601,7 @@ def test_error_bound_reference_within_stated_tolerance_of_a_finer_one():
                 traj = simulate(init, freqs, SimParams(k, h, max_steps=n_steps, conv_tol=0.0))
                 ref = rk4_reference(init, freqs, k, h, n_steps)
                 fine = _fine_reference(init, freqs, k, h, n_steps, 40 * ref.substeps)
-                got, want = (euler_error_bound(traj, r, 2.0 * k) for r in (ref, fine))
+                got, want = (euler_error_bound(traj, r) for r in (ref, fine))
                 case = (n, hk, d_omega, ref.substeps)
                 assert got.truncation_max == pytest.approx(want.truncation_max, rel=1e-4), case
                 assert got.observed_error.max() == pytest.approx(
