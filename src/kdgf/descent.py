@@ -109,11 +109,15 @@ def run_descent(problem: DescentProblem, x0, h: float, max_steps: int = 1_000_00
     The step guard h < 2/hessian_bound is reported, not enforced; runs with
     an inadmissible h proceed and typically fail certification instead.
     Leaving the working domain stops the run with a domain-exit flag.  An
-    iterate whose potential or gradient overflows or is not finite raises
-    DivergenceError with its step.
+    iterate that is not finite, or whose potential or gradient overflows or
+    is not finite, raises DivergenceError with its step.
     """
-    if not h > 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError("h must be positive and finite")
+    if max_steps < 0:
+        raise ValueError("max_steps must be nonnegative")
+    if not 0 <= tol < math.inf:
+        raise ValueError("tol must be nonnegative and finite")
     x = np.array(x0, dtype=float).reshape(-1)
     if x.size != problem.dim:
         raise ValueError(f"x0 has dimension {x.size}, expected {problem.dim}")
@@ -141,6 +145,8 @@ def run_descent(problem: DescentProblem, x0, h: float, max_steps: int = 1_000_00
                 break
             x = x - h * g
             if not problem.in_domain(x):  # kept as final_point, not evaluated
+                if not np.isfinite(x).all():
+                    raise DivergenceError(n + 1, "non-finite iterate")
                 reason = "domain_exit"
                 break
             if store_path:
@@ -205,12 +211,15 @@ class SummabilityReport:
 
 def gradient_square_sum(result: DescentResult, h: float, c: float) -> SummabilityReport:
     """Telescoped bound on the descent_series: sum_n |grad|^2 h (1 - C h / 2) <= f(0) - f(end).
+    ``h`` and ``c`` must be the run's own step and curvature bound.
 
     Above the step guard the weight h (1 - C h / 2) is not positive and the
     bound would hold for any run, so it does not hold there, as
     :func:`descent_certificate` caps its allowed drop at zero.
     """
-    f_values, grad_norms, _, _ = descent_series(result)
+    f_values, grad_norms, run_h, run_c = descent_series(result)
+    if (h, c) != (run_h, run_c):
+        raise ValueError("result was not produced at this step size and curvature bound")
     weights = h * (1.0 - c * h / 2.0)
     s = float((grad_norms[:-1] ** 2).sum() * weights)
     drop = float(f_values[0] - f_values[-1])

@@ -21,18 +21,14 @@ from .core import (
     velocity_arrays,
 )
 
-DIVERGENCE_LIMIT = 1.0e6
-
-
 class DivergenceError(RuntimeError):
-    """Raised when a phase magnitude exceeds the divergence guard, or the
-    potential or gradient (norm) of an oscillator step or descent iterate is
-    not finite.
-
-    Out-of-theory behaviour (step size too large); carries the step index.
+    """Raised at the first step where a value a run stores or writes is not
+    finite: an oscillator step's gradient norm, potential, diameter or time,
+    or a descent iterate, its potential or its gradient.  Carries the step
+    index and names the value.
     """
 
-    def __init__(self, step: int, what: str = f"|theta| exceeded {DIVERGENCE_LIMIT:g}"):
+    def __init__(self, step: int, what: str):
         super().__init__(f"divergence: {what} at step {step}")
         self.step = step
         self.what = what
@@ -95,9 +91,9 @@ def simulate(init: PhaseConfig, freqs: NaturalFrequencies,
              params: SimParams) -> Trajectory:
     """Iterate the Euler scheme until the gradient norm drops below
     ``params.conv_tol`` ("grad_norm") or the step cap is reached
-    ("max_steps"); conv_tol = 0 runs to the cap.  Raises DivergenceError if
-    any phase magnitude passes the 1e6 guard, or a step's gradient norm or
-    potential is not finite.
+    ("max_steps"); conv_tol = 0 runs to the cap.  Raises DivergenceError at
+    the first step whose gradient norm, potential, diameter or time is not
+    finite.
     """
     [result] = simulate_batch([init], freqs, params)
     if isinstance(result, DivergenceError):
@@ -105,26 +101,24 @@ def simulate(init: PhaseConfig, freqs: NaturalFrequencies,
     return result
 
 
-BLOCK_STEPS = 64  # Euler steps between two applications of the guard and stop rule
+BLOCK_STEPS = 64  # Euler steps between two applications of the stop rule
 
 
 def simulate_batch(inits, freqs: NaturalFrequencies, params: SimParams) -> list:
     """:func:`simulate` of many starts of one system, stepped together: row b
     runs from ``inits[b]`` with ``freqs`` and ``params``.  Returns one result
     per row: its Trajectory, bitwise the one simulate gives, or the
-    DivergenceError simulate would raise: at the first step past the guard,
-    or whose gradient norm or potential is not finite.
+    DivergenceError simulate would raise.
 
     Rows step together in blocks of BLOCK_STEPS.  Each block is a
     C-contiguous (steps + 1, rows, N) array, so each row's reductions are
     those of the row alone.  Each step keeps the sums S and C that its kernel
     call reduces, the mean field Z = C + iS of its state, for the row's
-    potential and order parameter series.  The guard and the stop rule are
-    applied at block ends, in the per-step order guard, gradient norm (not
-    finite, then below ``conv_tol``), step cap, so a row's result is exactly
-    that of a step-by-step check; a row past the guard or with a non-finite
-    gradient norm steps on to the end of its block, and those steps are
-    discarded.
+    potential and order parameter series.  The stop rule is applied at block
+    ends, in the per-step order gradient norm (not finite, then below
+    ``conv_tol``), step cap, so a row's result is exactly that of a
+    step-by-step check; a row with a non-finite gradient norm steps on to
+    the end of its block, and those steps are discarded.
     Live rows always share one step index; a row that stops leaves the live
     arrays.  Each row keeps its own copy of its stored steps; every row's
     steps are held until the call returns.
@@ -148,19 +142,16 @@ def simulate_batch(inits, freqs: NaturalFrequencies, params: SimParams) -> list:
         vel = np.empty((steps, live.size, n))
         sums = np.empty((2, steps, live.size, 1))  # S and C of each step's state
         views = list(blk)
-        # a row past the guard may step on to inf before the block ends
+        # a row whose gradient norm overflows may step on to inf before the block ends
         with np.errstate(over="ignore", invalid="ignore"):
             for cur, nxt, v, sc in zip(views, views[1:], vel, zip(*sums)):
                 velocity_arrays(cur, omega, k, v, sc)
                 np.multiply(v, h, out=nxt)
                 nxt += cur
             gnorm = np.sqrt(row_dot(vel, vel))
-            m = m0 + np.arange(steps)[:, None]
-            diverged = (((blk[:steps].max(axis=2) > DIVERGENCE_LIMIT)
-                         | (blk[:steps].min(axis=2) < -DIVERGENCE_LIMIT)) & (m > 0))
             blown = ~np.isfinite(gnorm)
             converged = gnorm < tol
-        stop = diverged | blown | converged | (m == max_steps)
+        stop = blown | converged | (m0 + np.arange(steps)[:, None] == max_steps)
         keep = ~stop.any(axis=0)
 
         for slot, row in enumerate(live.tolist()):
@@ -170,9 +161,8 @@ def simulate_batch(inits, freqs: NaturalFrequencies, params: SimParams) -> list:
                                     *np.ascontiguousarray(sums[:, :, slot, 0])))
                 continue
             j = int(stop[:, slot].argmax())  # the row's stop step is m0 + j
-            if diverged[j, slot] or blown[j, slot]:
-                results[row] = (DivergenceError(m0 + j) if diverged[j, slot] else
-                                DivergenceError(m0 + j, "gradient norm is not finite"))
+            if blown[j, slot]:
+                results[row] = DivergenceError(m0 + j, "gradient norm is not finite")
                 pieces[row] = None
                 continue
             reason = "grad_norm" if converged[j, slot] else "max_steps"
@@ -187,16 +177,21 @@ def simulate_batch(inits, freqs: NaturalFrequencies, params: SimParams) -> list:
 
 def _trajectory(phases, gnorm, z, reason, freqs, params) -> Trajectory | DivergenceError:
     """The run's Trajectory, its series read from ``z``, each stored step's mean
-    field; or the DivergenceError of its first step whose potential is not finite."""
+    field; or the DivergenceError of its first step whose potential, diameter
+    or time is not finite."""
     phases.setflags(write=False)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite potential is refused below
-        potentials = potential_from_mean_field(z, phases, freqs.omega, params.coupling)
-    bad = np.flatnonzero(~np.isfinite(potentials))
-    if bad.size:
-        return DivergenceError(int(bad[0]), "potential is not finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
+        series = {"potential": potential_from_mean_field(z, phases, freqs.omega, params.coupling),
+                  "diameter": span(phases),
+                  "time": np.arange(phases.shape[0]) * params.step_size}
+    finite = np.array([np.isfinite(v) for v in series.values()])  # one row per series
+    if not finite.all():
+        step = int(finite.all(axis=0).argmin())
+        name = list(series)[int(finite[:, step].argmin())]
+        return DivergenceError(step, f"{name} is not finite")
     order_r, order_phi = order_from_mean_field(z, phases.shape[1])
-    return Trajectory(phases=phases, params=params, freqs=freqs, diameters=span(phases),
-                      potentials=potentials, grad_norms=gnorm, order_r=order_r,
+    return Trajectory(phases=phases, params=params, freqs=freqs, diameters=series["diameter"],
+                      potentials=series["potential"], grad_norms=gnorm, order_r=order_r,
                       order_phi=order_phi, stop_reason=reason)
 
 

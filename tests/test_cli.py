@@ -275,8 +275,35 @@ conv_tol = 1e-300
 
 
 def test_divergence_exit_code(tmp_path):
-    cfg = write_config(tmp_path / "div.ini", DIVERGENT_CFG)
-    assert main(["run", cfg, "--out", str(tmp_path / "d"), "--quiet"]) == 3
+    # K far below the locking coupling: the phases drift past |theta| = 1e6
+    # at step 5000 with every value finite, so the run exits 0.  Phases
+    # 1.8e308 apart overflow the diameter, so that run exits 3
+    text = DIVERGENT_CFG.replace("max_steps = 100000", "max_steps = 6000")
+    cfg = write_config(tmp_path / "drift.ini", text)
+    assert main(["run", cfg, "--out", str(tmp_path / "d"), "--quiet"]) == 0
+    report = read_json(tmp_path / "d" / "report.json")["trajectory"]
+    assert report["steps"] == 6000 and max(map(abs, report["final_phases"])) > 1e6
+    cfg = write_config(tmp_path / "wide.ini",
+                       text.replace("explicit(-1.0, 1.0)", "explicit(-9e307, 9e307)"))
+    assert main(["run", cfg, "--out", str(tmp_path / "w"), "--quiet"]) == 3
+
+
+@pytest.mark.parametrize("text, message", [
+    ("model = identical\nn = 2\ninit = explicit(-9e307, 9e307)\ncoupling = 1.0\n"
+     "step = 0.1\nmax_steps = 0\n", "diameter is not finite at step 0"),
+    ("model = identical\nn = 3\ninit = random-arc(3.0)\ncoupling = 1e-320\n"
+     "step = 1e308\nmax_steps = 3\nconv_tol = 0\n", "time is not finite at step 2"),
+    ("model = generic_dgf\nproblem = double_well\nx0 = explicit(1.5)\nstep = 1e308\nn = 1\n",
+     "non-finite iterate at step 1"),
+], ids=["diameter", "time", "descent-iterate"])
+def test_a_run_that_would_write_a_non_finite_value_exits_3(tmp_path, capsys, text, message):
+    # each of these runs once wrote Infinity, which is not JSON; tier-1
+    # turns a numpy RuntimeWarning into an error, so a warning fails this test
+    cfg = write_config(tmp_path / "run.ini", "[run]\n" + text)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--quiet", "--format", "json"]) == 3
+    assert list(out.iterdir()) == []
+    assert capsys.readouterr().err == f"error: divergence: {message}\n"
 
 
 @pytest.mark.parametrize("coupling, step", [("1e308", "1e-310"), ("1.7e308", "1e-320")])
@@ -305,21 +332,23 @@ def test_diverging_descent_exits_3(tmp_path, capsys):
 
 
 def test_sweep_divergent_point_is_a_summary_row(tmp_path, capsys):
-    # h = 1.0 diverges near step 5000; h = 0.001 runs all 6000 steps
-    text = DIVERGENT_CFG.replace("max_steps = 100000", "max_steps = 6000")
-    cfg = write_config(tmp_path / "div.ini",
-                       text + "\n[certifiers]\norder_preservation =\n")
+    # K = 1.7e308 overflows the gradient norm at step 0; K = 1 runs all 50 steps
+    cfg = write_config(tmp_path / "div.ini", (
+        "[run]\nmodel = identical\nn = 4\ninit = random-arc(6.0)\nseed = 0\n"
+        "coupling = 1.0\nstep = 1e-320\nmax_steps = 50\n"
+        "[certifiers]\norder_preservation =\n"))
     out = tmp_path / "sweep"
     # the divergent point comes first: the points after it still run
-    assert main(["sweep", cfg, "--axis", "h", "--values", "1.0,0.001",
+    assert main(["sweep", cfg, "--axis", "K", "--values", "1.7e308,1.0",
                  "--out", str(out), "--quiet"]) == 3
     step = re.search(r"at step (\d+)", capsys.readouterr().err).group(1)
     lines = (out / "summary.csv").read_text().splitlines()
-    assert lines[0] == "index,h,steps,stop_reason,final_grad_norm,cert_order_preservation"
-    assert lines[1] == f"0,1.0,{step},diverged,nan,fail"
+    assert lines[0] == "index,K,steps,stop_reason,final_grad_norm,cert_order_preservation"
+    assert lines[1] == f"0,1.7e+308,{step},diverged,nan,fail"
+    assert list((out / "point_000").iterdir()) == []
     report = read_json(out / "point_001" / "report.json")
     assert report["trajectory"]["stop_reason"] == "max_steps"
-    assert lines[2].startswith("1,0.001,6000,max_steps,") and lines[2].endswith(",pass")
+    assert lines[2].startswith("1,1.0,50,max_steps,") and lines[2].endswith(",pass")
 
 
 @pytest.mark.parametrize("options", ["", "l=1.0", "n0=2", "epz=0.3", "lipschitz=2.0"])
@@ -721,9 +750,9 @@ def _without_timestamp(path):
 
 
 @pytest.mark.parametrize("text,axis,values,rc,diverged", [
-    # K = 1e9 jumps past the divergence guard at the first step
+    # K = 1.7e308 overflows the gradient norm at the first step
     (IDENTICAL_CFG.replace("near-sync(0.1)", "explicit(-0.5, 0.1, 0.4)")
-     .replace("max_steps = 20000", "max_steps = 300"), "K", "1.0,1e9,2.0", 3, [1]),
+     .replace("max_steps = 20000", "max_steps = 300"), "K", "1.0,1.7e308,2.0", 3, [1]),
     # two batches: N = 4 (points 0 and 2) and N = 6 (point 1)
     (NONIDENTICAL_CFG.replace("near-sync(0.1)", "random-arc(2.0)")
      .replace("omega = zero", "omega = uniform(0.2)")

@@ -31,6 +31,10 @@ def spec(names, arg):
                      st.sampled_from(names), st.lists(arg, max_size=3))
 
 
+def explicit(values):
+    return f"explicit({', '.join(map(repr, values))})"
+
+
 def corrupted(valid, keys):
     """Draws of ``valid``, about one in four with one of ``keys`` set to junk.
     A null max_steps would mean the default of 10^6 steps, so it stays a number."""
@@ -106,16 +110,19 @@ def refuse(name):
     raise ValueError(f"{name} is not JSON")
 
 
-def run_config(name: str, text: str) -> int:
-    """Exit code of ``kdgf run`` on ``text``; bad input leaves no --out, and
-    a run writes a report.json that parses without NaN or Infinity."""
+def run_config(name: str, text: str, fmt: str = "csv") -> int:
+    """Exit code of ``kdgf run --format fmt`` on ``text``; bad input leaves
+    no --out, and a run writes a report.json, and a trajectory.json if any,
+    that parse without NaN or Infinity."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / name, Path(tmp) / "out"
         path.write_text(text, encoding="utf-8")
-        code = main(["run", str(path), "--out", str(out), "--quiet"])
+        code = main(["run", str(path), "--out", str(out), "--quiet", "--format", fmt])
         assert code != 2 or not out.exists()
         if code == 0:
             json.loads((out / "report.json").read_text(), parse_constant=refuse)
+            if (out / "trajectory.json").exists():
+                json.loads((out / "trajectory.json").read_text(), parse_constant=refuse)
         return code
 
 
@@ -137,29 +144,46 @@ def test_json_config_never_raises(top_junk, junk, data):
 
 
 # Most draws above are bad input, so few reach the extreme scales with a
-# config that runs: these draws are valid oscillator runs at every scale.
-SCALED = st.fixed_dictionaries({
-    "model": st.just("nonidentical"),
-    "n": st.sampled_from([2, 4, 8]),
-    "init": st.floats(0.01, 6.28).map(lambda w: f"random-arc({w!r})"),
-    "omega": st.sampled_from(["zero", "uniform(0.5)"]),
-    "coupling": st.sampled_from([c for c in COUPLINGS if c > 0]),
-    "step": st.sampled_from([h for h in STEPS if h > 0]),
-    "max_steps": st.integers(0, 100),
-    "seed": st.integers(0, 3),
-})
+# config that runs: these draws are valid runs of both models at every
+# scale, with steps and starts up to the float limit.
+SCALED_STEPS = [h for h in STEPS if h > 0] + [1e305, 1e308]
+HUGE = [1.0, 1e6, 1e154, 1e300, 9e307, 1.7e308]
 # the certifiers that take no required option
-SCALED_CERTS = st.lists(st.sampled_from(sorted(
-    name for name in CERTIFIERS if all(p.default is not p.empty for p in parameters(name)))),
-    unique=True, max_size=3)
+NO_OPTION_CERTS = sorted(
+    name for name in CERTIFIERS if all(p.default is not p.empty for p in parameters(name)))
+
+
+@st.composite
+def scaled_config(draw):
+    run = {"step": draw(st.sampled_from(SCALED_STEPS)), "max_steps": draw(st.integers(0, 100)),
+           "seed": draw(st.integers(0, 3))}
+    if draw(st.booleans()):
+        problem = draw(st.sampled_from(["double_well", "quadratic"]))
+        x0 = draw(st.floats(-2.0, 2.0) if problem == "double_well" else
+                  st.sampled_from(HUGE).flatmap(lambda x: st.sampled_from([x, -x])))
+        run.update(model="generic_dgf", problem=problem, x0=explicit([x0]), n=1)
+        names = ["descent", "gradient_square_sum"]
+    else:
+        n = draw(st.sampled_from([2, 4, 8]))
+        # phases in adjacent +-pairs sum to exactly 0, so centring them cannot overflow
+        half = draw(st.lists(st.one_of(st.sampled_from(HUGE), st.floats(0.0, 7.0)),
+                             min_size=n // 2, max_size=n // 2))
+        init = draw(st.one_of(st.floats(0.01, 6.28).map(lambda w: f"random-arc({w!r})"),
+                              st.just(explicit([x for v in half for x in (v, -v)]))))
+        run.update(model="nonidentical", n=n, init=init,
+                   omega=draw(st.sampled_from(["zero", "uniform(0.5)"])),
+                   coupling=draw(st.sampled_from([c for c in COUPLINGS if c > 0])))
+        names = NO_OPTION_CERTS
+    return run, draw(st.lists(st.sampled_from(names), unique=True, max_size=3))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(run=SCALED, certs=SCALED_CERTS)
-def test_runs_at_extreme_scales_write_strict_json_or_diverge(run, certs):
+@given(config=scaled_config())
+def test_runs_at_extreme_scales_write_strict_json_or_diverge(config):
+    run, certs = config
     lines = ["[run]"] + [f"{k} = {v}" for k, v in run.items()]
     lines += ["[certifiers]"] + [f"{name} =" for name in certs]
-    assert run_config("run.ini", "\n".join(lines) + "\n") in (0, 3)
+    assert run_config("run.ini", "\n".join(lines) + "\n", fmt="json") in (0, 3)
 
 
 @pytest.mark.parametrize("name", ["run.json", "run.ini"])
@@ -203,10 +227,6 @@ def valid_options(name):
     return st.fixed_dictionaries(
         {p.name: value(p) for p in params if p.default is p.empty},
         optional={p.name: value(p) for p in params if p.default is not p.empty})
-
-
-def explicit(values):
-    return f"explicit({', '.join(map(repr, values))})"
 
 
 @st.composite

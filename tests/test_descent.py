@@ -7,6 +7,7 @@ import pytest
 
 from kdgf import (
     DescentProblem,
+    DivergenceError,
     NaturalFrequencies,
     PhaseConfig,
     SimParams,
@@ -19,12 +20,12 @@ from kdgf import (
 )
 
 
-def quadratic(dim=2):
+def quadratic(dim=2, hessian_bound=1.0):
     return DescentProblem(
         dim=dim,
         potential=lambda x: float(0.5 * (x @ x)),
         gradient=lambda x: np.asarray(x, dtype=float),
-        hessian_bound=1.0,
+        hessian_bound=hessian_bound,
     )
 
 
@@ -118,6 +119,29 @@ def test_domain_exit_flag():
     assert abs(res.final_point[0]) > 10.0
 
 
+def test_a_non_finite_domain_exit_is_a_divergence():
+    # 1.5 - 1e308 * 1.875 overflows to -inf, which leaves |x| <= 2: a
+    # divergence at step 1, not a final_point of -inf
+    with pytest.raises(DivergenceError) as exc:
+        run_descent(double_well(), [1.5], h=1e308)
+    assert (exc.value.step, exc.value.what) == (1, "non-finite iterate")
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"h": 0.0}, "h must be positive and finite"),
+    ({"h": math.inf}, "h must be positive and finite"),
+    ({"h": math.nan}, "h must be positive and finite"),
+    ({"max_steps": -3}, "max_steps must be nonnegative"),
+    ({"tol": math.nan}, "tol must be nonnegative and finite"),
+    ({"tol": -1.0}, "tol must be nonnegative and finite"),
+    ({"tol": math.inf}, "tol must be nonnegative and finite"),
+])
+def test_run_descent_refuses_what_simparams_refuses(kwargs, match):
+    args = {"h": 0.5, "max_steps": 10, "tol": 1e-10, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        run_descent(quadratic(), [1.0, 1.0], **args)
+
+
 def test_fixed_point_iff_critical():
     prob = double_well()
     for x0 in ([1.0], [-1.0], [0.0]):
@@ -185,13 +209,23 @@ def test_gradient_square_sum_zero_step_run():
 @pytest.mark.parametrize("hc", [2.0, 2.1, 4.0])
 def test_gradient_square_sum_fails_above_the_step_guard(hc):
     # at hC >= 2 the weight h (1 - C h / 2) is not positive, so the sum
-    # bound would hold for any run: it fails, as descent_certificate does
-    prob = quadratic()
+    # bound would hold for any run: it fails, as descent_certificate does.
+    # A curvature bound of hc / 0.5 is loose but true for this quadratic
+    prob = quadratic(hessian_bound=hc / 0.5)
     res = run_descent(prob, [1.0, -1.0], h=0.5, tol=1e-12)
-    assert gradient_square_sum(res, 0.5, prob.hessian_bound).holds
-    rep = gradient_square_sum(res, 0.5, hc / 0.5)
+    rep = gradient_square_sum(res, 0.5, prob.hessian_bound)
     assert rep.weighted_sum <= 0 < rep.f_drop
     assert not rep.holds
+
+
+@pytest.mark.parametrize("h, c", [(0.01, 1.0), (0.5, 3.9), (0.01, 3.9)])
+def test_gradient_square_sum_refuses_a_foreign_step_or_bound(h, c):
+    # the run is at h = 0.5 with C = 1: another h or C certifies another run
+    prob = quadratic()
+    res = run_descent(prob, [1.0, -1.0], h=0.5, tol=1e-12)
+    assert gradient_square_sum(res, 0.5, 1.0).holds
+    with pytest.raises(ValueError, match="produced"):
+        gradient_square_sum(res, h, c)
 
 
 def test_gradient_square_sum_double_well_slack():

@@ -119,19 +119,24 @@ def test_simulate_decreasing_diameter_small_config():
     assert np.all(np.diff(d[d > 1e-12]) < 0)
 
 
-def test_simulate_divergence_guard():
-    # pure drift with large frequencies walks past the guard
+def test_a_drifting_run_runs_to_its_cap_and_equals_run_descent():
+    # K far below the locking coupling: the phases drift apart, |theta| =
+    # 1 + 200 m passing 1e6 at step 5000, and every value stays finite
     f = NaturalFrequencies([-200.0, 200.0])
-    p = SimParams(coupling=1e-6, step_size=1.0, max_steps=100_000, conv_tol=0.0)
-    with pytest.raises(DivergenceError) as exc:
-        simulate(PhaseConfig([-1.0, 1.0]), f, p)
-    # |theta| = 1 + 200 m first exceeds 1e6 at step m = 5000
-    assert exc.value.step == 5000
+    p = SimParams(coupling=1e-6, step_size=1.0, max_steps=6000, conv_tol=0.0)
+    traj = simulate(PhaseConfig([-1.0, 1.0]), f, p)
+    assert traj.n_steps == 6000 and traj.stop_reason == "max_steps"
+    assert np.abs(traj.phases[-1]).max() > 1e6
+    result = run_descent(kuramoto_problem(f, p.coupling), traj.phases[0], p.step_size,
+                         max_steps=p.max_steps, tol=0.0, store_path=True)
+    assert result.path.tobytes() == traj.phases.tobytes()
+    assert result.f_values.tobytes() == traj.potentials.tobytes()
 
 
 def test_divergence_error_survives_pickling():
     # sweep points run in worker processes, which hand a divergence back
-    for exc in (DivergenceError(5000), DivergenceError(7, "non-finite gradient")):
+    for exc in (DivergenceError(5000, "diameter is not finite"),
+                DivergenceError(7, "non-finite gradient")):
         copy = pickle.loads(pickle.dumps(exc))
         assert type(copy) is DivergenceError
         assert copy.step == exc.step and str(copy) == str(exc)
@@ -237,14 +242,12 @@ def test_simulate_large_n_near_sync_reaches_grad_tol():
 # ---------------------------------------------------------------------------
 
 def step_by_step(init, freqs, params):
-    """The Euler loop checked one step at a time: guard, then gradient norm
-    (not finite, then below conv_tol), then step cap.  Returns (phases, grad
-    norms, stop reason) or raises."""
+    """The Euler loop checked one step at a time: gradient norm (not finite,
+    then below conv_tol), then step cap.  Returns (phases, grad norms, stop
+    reason) or raises."""
     theta, rows, norms = init.phases, [], []
     while True:
         m = len(rows)
-        if m > 0 and np.abs(theta).max() > integrate.DIVERGENCE_LIMIT:
-            raise DivergenceError(m)
         v = velocity_arrays(theta, freqs.omega, params.coupling)
         rows.append(theta)
         with np.errstate(over="ignore"):
@@ -306,32 +309,28 @@ def test_simulate_batch_runs_to_the_cap(max_steps):
 
 
 def test_simulate_batch_divergent_row_among_converging_rows():
-    # a start beyond the guard diverges at step 1; the rows beside it converge
-    freqs, params = NaturalFrequencies.zero(2), SimParams(1.0, 0.1, max_steps=100_000)
-    calm = [PhaseConfig([-a, a]) for a in (0.5, 1.2, 0.1)]
-    far = PhaseConfig([2e6, 2e6 + 0.1])
-    results = simulate_batch([calm[0], far, *calm[1:]], freqs, params)
-    assert isinstance(results[1], DivergenceError) and results[1].step == 1
-    for traj, init in zip(results[:1] + results[2:], calm):
-        assert traj.stop_reason == "grad_norm"
+    # a start whose diameter overflows steps to the cap, and its run is then
+    # refused at step 0; the rows beside it run as they do alone: three
+    # converge, and a start at 2e6 stalls one ulp apart and runs to the cap
+    freqs, params = NaturalFrequencies.zero(2), SimParams(1.0, 0.1, max_steps=1000)
+    calm = [PhaseConfig([-a, a]) for a in (0.5, 1.2, 0.1)] + [PhaseConfig([2e6, 2e6 + 0.1])]
+    wide = PhaseConfig([-9e307, 9e307])
+    results = simulate_batch([calm[0], wide, *calm[1:]], freqs, params)
+    assert isinstance(results[1], DivergenceError)
+    assert (results[1].step, results[1].what) == (0, "diameter is not finite")
+    for traj, init, reason in zip(results[:1] + results[2:], calm,
+                                  ["grad_norm"] * 3 + ["max_steps"]):
+        assert traj.stop_reason == reason
         assert_same_run(traj, init, freqs, params)
 
-    # drifting phases pass the guard at steps 5000, 4501 and 3001, each as in
-    # its single run; under a cap of 4000 only the last row diverges, and the
-    # rows beside it run on to the cap
+    # drifting phases pass |theta| = 1e6 at steps 5000, 4501 and 3001 and
+    # run on to the cap, each as in its single run
     freqs = NaturalFrequencies([-200.0, 200.0])
     starts = [PhaseConfig([-a, a]) for a in (1.0, 1e5, 4e5)]
-    params = SimParams(coupling=1e-6, step_size=1.0, max_steps=100_000)
-    for result, init, step in zip(simulate_batch(starts, freqs, params), starts,
-                                  (5000, 4501, 3001)):
-        with pytest.raises(DivergenceError) as exc:
-            simulate(init, freqs, params)
-        assert result.step == exc.value.step == step
-    capped = SimParams(coupling=1e-6, step_size=1.0, max_steps=4000)
-    *run_on, diverged = simulate_batch(starts, freqs, capped)
-    assert isinstance(diverged, DivergenceError) and diverged.step == 3001
-    for traj, init in zip(run_on, starts):
+    capped = SimParams(coupling=1e-6, step_size=1.0, max_steps=6000)
+    for traj, init in zip(simulate_batch(starts, freqs, capped), starts):
         assert traj.stop_reason == "max_steps"
+        assert np.abs(traj.phases[-1]).max() > 1e6
         assert_same_run(traj, init, freqs, capped)
 
 
@@ -369,16 +368,6 @@ def test_a_non_finite_potential_is_a_divergence_without_a_warning():
                                    NaturalFrequencies.zero(4), SimParams(1e308, 1e-310))
     assert isinstance(result, DivergenceError)
     assert (result.step, result.what) == (2, "potential is not finite")
-
-
-def test_guard_skips_the_initial_state():
-    # the guard checks the iterates, not the given start
-    far = (PhaseConfig([2e6, 2e6 + 0.1]), NaturalFrequencies.zero(2),
-           SimParams(coupling=1.0, step_size=0.1, max_steps=10))
-    with pytest.raises(DivergenceError) as exc:
-        simulate(*far)
-    assert exc.value.step == 1
-    assert simulate_batch([far[0]], *far[1:])[0].step == 1
 
 
 def off_the_saddle(n, kick):
